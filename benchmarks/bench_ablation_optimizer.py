@@ -23,13 +23,10 @@ def test_optimizer_ablation(benchmark):
         opt = run_program(optimized)
         assert opt.output == base.output
 
-        base_cycles = machine_cycles(
-            superblock_regions(program, base, cache_hint=name + "-"),
-            vliw(3))
-        opt_cycles = machine_cycles(
-            superblock_regions(optimized, opt,
-                               cache_hint=name + "-opt-"),
-            vliw(3))
+        base_cycles = machine_cycles(superblock_regions(program, base),
+                                     vliw(3))
+        opt_cycles = machine_cycles(superblock_regions(optimized, opt),
+                                    vliw(3))
         ratios.append(base_cycles / opt_cycles)
         lines.append(
             "%-10s static %4d->%4d ops, dynamic %7d->%7d, "

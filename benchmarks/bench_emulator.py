@@ -1,10 +1,10 @@
-"""Emulator backend shoot-out: reference loop, threaded code, codegen.
+"""Emulator backend shoot-out: reference loop against codegen.
 
 Regenerates ``BENCH_emulator.json`` (the perf-trajectory record also
 produced by ``repro bench``) into ``results/`` and times one
 representative program per backend under pytest-benchmark.  The paper
 suite sweep doubles as a differential check: the document's
-``identical`` fields assert all backends returned bit-identical
+``identical`` fields assert both backends returned bit-identical
 results everywhere.
 """
 
@@ -13,7 +13,7 @@ import os
 from repro.benchmarks.perf import (
     bench_document, format_bench, validate_bench, write_bench)
 from repro.benchmarks.suite import compile_benchmark
-from repro.emulator import CodegenEmulator, Emulator, ThreadedEmulator
+from repro.emulator import CodegenEmulator, Emulator
 
 from benchmarks.conftest import save_result
 
@@ -23,16 +23,6 @@ def test_backend_throughput_reference(benchmark):
     emulator = Emulator(program)
     result = benchmark(emulator.run)
     assert result.succeeded
-    benchmark.extra_info["ici_per_second"] = (
-        result.steps / benchmark.stats["mean"])
-
-
-def test_backend_throughput_threaded(benchmark):
-    program = compile_benchmark("nreverse")
-    emulator = ThreadedEmulator(program)
-    result = benchmark(emulator.run)
-    assert result.succeeded
-    assert result.backend == "threaded"
     benchmark.extra_info["ici_per_second"] = (
         result.steps / benchmark.stats["mean"])
 

@@ -15,8 +15,8 @@ def test_table1(benchmark):
 
     # Time the global-compaction leg on one benchmark (profile cached).
     program = compile_benchmark("qsort")
-    result = run_program_cached(program, "qsort-")
-    region_set = superblock_regions(program, result, cache_hint="qsort-")
+    result = run_program_cached(program)
+    region_set = superblock_regions(program, result)
     benchmark(machine_cycles, region_set, ideal())
 
     average = data["average"]

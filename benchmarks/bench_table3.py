@@ -12,9 +12,8 @@ def test_table3(benchmark):
     save_result("table3_figure6", table3.render(data))
 
     program = compile_benchmark("serialise")
-    result = run_program_cached(program, "serialise-")
-    region_set = superblock_regions(program, result,
-                                    cache_hint="serialise-")
+    result = run_program_cached(program)
+    region_set = superblock_regions(program, result)
     benchmark(machine_cycles, region_set, vliw(3))
 
     average = data["average"]

@@ -12,9 +12,8 @@ def test_table5(benchmark):
     save_result("table5", table5.render(data))
 
     program = compile_benchmark("nreverse")
-    result = run_program_cached(program, "nreverse-")
-    region_set = superblock_regions(program, result,
-                                    cache_hint="nreverse-")
+    result = run_program_cached(program)
+    region_set = superblock_regions(program, result)
     benchmark(machine_cycles, region_set, symbol3())
 
     # Paper: ~1.9 for the prototype, above the BAM's ~1.5.

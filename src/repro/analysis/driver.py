@@ -96,7 +96,7 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
     with observe.span("analyze.benchmark", benchmark=name):
         program = compile_benchmark(name)
         fingerprint = program_fingerprint(program)
-        result = run_program_cached(program, name + "-")
+        result = run_program_cached(program)
         cfg = Cfg(program)
         abi = _abi_registers()
         passes = {}
@@ -164,8 +164,7 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
                     pos=pc))
 
         with _pass_span("regions", name):
-            trace_set = superblock_regions(program, result, budget,
-                                           name + "-")
+            trace_set = superblock_regions(program, result, budget)
             bb_set = basic_block_regions(program, result)
 
         with _pass_span("disambiguation", name):

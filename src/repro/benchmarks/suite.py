@@ -2,23 +2,27 @@
 
 Emulating the larger benchmarks costs seconds of host CPU, and the
 evaluation pipeline needs each dynamic profile several times (instruction
-mix, branch statistics, compaction input).  ``run_benchmark`` therefore
-memoises :class:`~repro.emulator.machine.EmulationResult` data on disk,
-keyed by a hash of the generated code, so a profile is computed once per
-compiled program ever.
+mix, branch statistics, compaction input).  ``run_program_cached``
+therefore memoises :class:`~repro.emulator.machine.EmulationResult` data
+as ``emulation`` entries of the artefact store
+(:mod:`repro.evaluation.cache`), keyed by a hash of the generated code,
+the emulator backend and the emulator's code version, so a profile is
+computed once per compiled program and emulator.
 """
 
 import hashlib
-import json
 import os
 
-from repro.atomicio import FileLock, atomic_write_json
 from repro.benchmarks.programs import PROGRAMS, TABLE_BENCHMARKS
 from repro.bam import compile_source
 from repro.intcode import translate_module
 from repro.emulator import EmulationResult, resolve_backend, run_program
 from repro.interp import Engine
 from repro.observability import tracing as observe
+
+#: the artefact-store kind of memoised emulation results (distinct from
+#: the evaluation DAG's ``profile`` nodes, which share its components)
+EMULATION_KIND = "emulation"
 
 _CACHE_ENV = "REPRO_CACHE_DIR"
 
@@ -77,34 +81,32 @@ def compile_benchmark(name):
         return program
 
 
-def run_program_cached(program, key_hint="", backend=None):
-    """Emulate *program*, consulting the on-disk profile cache first.
+def run_program_cached(program, backend=None):
+    """Emulate *program*, consulting the artefact store first.
 
-    Both emulator backends produce bit-identical profiles, but the
-    payload records which backend actually produced it
-    (``EmulationResult.backend``) and callers rely on that provenance —
-    the bench document's ``backend`` field must reflect the backend the
-    run was asked for.  A hit whose recorded backend differs from the
-    resolved request is therefore recomputed (and republished) under
-    the requested backend rather than served as-is.
+    The key holds the resolved backend, so a hit always comes from the
+    backend that was asked for — the bench document's ``backend``
+    field and the evaluation's profile column rely on that provenance.
+    The payload records the backend that actually produced the result
+    (``EmulationResult.backend``; the reference loop when codegen
+    declines).  No lock is held while emulating, and the publish never
+    waits for one: two workers racing on one key both compute, and the
+    identical results publish atomically.
     """
+    # imported here: repro.evaluation imports this module
+    from repro.evaluation.cache import open_store
+    from repro.evaluation.parallel import code_version
     wanted = resolve_backend(backend)
-    key = key_hint + program_fingerprint(program)
-    path = os.path.join(cache_dir(), key + ".json")
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            cached_backend = data.get("backend", "reference")
-            if cached_backend == wanted:
-                observe.add("profile_cache.hits")
-                return EmulationResult(program, data["status"],
-                                       data["steps"], data["output"],
-                                       data["counts"], data["taken"],
-                                       backend=cached_backend)
-            observe.add("profile_cache.backend_mismatches")
-        except (ValueError, KeyError):
-            os.remove(path)
+    store = open_store()
+    key = store.key(EMULATION_KIND, {
+        "fingerprint": program_fingerprint(program), "backend": wanted,
+        "code": code_version("profile")})
+    data = store.get(key)
+    if data is not None:
+        observe.add("profile_cache.hits")
+        return EmulationResult(program, data["status"], data["steps"],
+                               data["output"], data["counts"],
+                               data["taken"], backend=data["backend"])
     observe.add("profile_cache.misses")
     with observe.span("pipeline.profile", backend=wanted) as sp:
         # cached-profile producers are exactly the programs worth
@@ -112,20 +114,16 @@ def run_program_cached(program, key_hint="", backend=None):
         result = run_program(program, backend=wanted,
                              persist_artifacts=True)
         sp.set(steps=result.steps, status=result.status)
-    # Crash-safe publish: parallel evaluation workers (and concurrent
-    # CLI runs) may race on the same profile; a reader must never see
-    # a torn file, and a kill mid-write must never leave one.
-    with FileLock(os.path.join(os.path.dirname(path), ".lock")):
-        atomic_write_json(
-            path, {"status": result.status, "steps": result.steps,
-                   "output": result.output, "counts": result.counts,
-                   "taken": result.taken, "backend": result.backend})
+    store.put(key, {"status": result.status, "steps": result.steps,
+                    "output": result.output, "counts": result.counts,
+                    "taken": result.taken, "backend": result.backend},
+              wait=False)
     return result
 
 
 def run_benchmark(name):
     """Compile and emulate benchmark *name* (cached)."""
-    return run_program_cached(compile_benchmark(name), name + "-")
+    return run_program_cached(compile_benchmark(name))
 
 
 def interpret_benchmark(name):

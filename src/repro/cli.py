@@ -608,12 +608,11 @@ def _verify_target(spec):
             program, _ = optimize_program(program)
     else:
         program = compile_benchmark(spec["bench"])
-    hint = os.path.basename(spec.get("file") or spec["bench"]) + "-"
-    result = run_program_cached(program, hint)
+    result = run_program_cached(program)
     diagnostics = verify_evaluation(
         program, result, spec["configs"],
         tail_dup_budget=spec["tail_dup_budget"],
-        cache_hint=hint, bank_size=spec["bank_size"])
+        bank_size=spec["bank_size"])
     return len(program), diagnostics
 
 
@@ -985,7 +984,7 @@ def build_parser():
                    help="time only the two cheapest benchmarks (the "
                         "CI smoke subset)")
     p.add_argument("--backend", action="append", metavar="NAME",
-                   choices=("reference", "threaded", "codegen"),
+                   choices=("reference", "codegen"),
                    help="emulator backend to time (repeatable; "
                         "default: all backends)")
     p.add_argument("--repeat", type=int, default=3, metavar="N",

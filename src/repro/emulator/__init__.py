@@ -1,12 +1,10 @@
 """Sequential ICI emulator and dynamic statistics.
 
-Three backends share one contract (bit-identical
+Two backends share one contract (bit-identical
 :class:`~repro.emulator.machine.EmulationResult` data):
 
 * ``reference`` — the plain interpreter loop in
   :mod:`repro.emulator.machine`;
-* ``threaded`` — the compiled threaded-code backend in
-  :mod:`repro.emulator.threaded` (basic blocks as Python closures);
 * ``codegen`` — the compiled-function backend in
   :mod:`repro.emulator.codegen` (the default; the whole program emitted
   as one Python function with registers as locals, an order of
@@ -26,7 +24,6 @@ from repro.emulator.machine import (
     render_term,
     decode,
 )
-from repro.emulator.threaded import ThreadedEmulator, threaded_code
 from repro.emulator.codegen import CodegenEmulator, codegen_code
 from repro.emulator.debug import DebugMachine
 
@@ -35,13 +32,11 @@ __all__ = [
     "Emulator",
     "EmulationResult",
     "EmulatorError",
-    "ThreadedEmulator",
     "CodegenEmulator",
     "codegen_code",
     "resolve_backend",
     "run_program",
     "render_term",
     "decode",
-    "threaded_code",
     "DebugMachine",
 ]

@@ -1,12 +1,12 @@
 """Codegen emulator backend: ICI compiled to one Python function.
 
-The threaded backend (:mod:`repro.emulator.threaded`) removed the
-per-instruction opcode switch but still pays a Python *call* per basic
-block and a register-file list indexing per operand.  This backend goes
-one level down, the way trace-scheduling compilers (and B-Prolog's
-instruction specialisation) do: the whole program is emitted as the
-*source* of a single Python function and run through :func:`compile`,
-with
+The reference loop (:mod:`repro.emulator.machine`) pays CPython's full
+dispatch cost on every dynamic instruction: a tuple fetch, an opcode
+comparison chain, a register-file list indexing per operand and
+per-step statistics updates.  This backend removes all of them the way
+trace-scheduling compilers (and B-Prolog's instruction
+specialisation) do: the whole program is emitted as the *source* of a
+single Python function and run through :func:`compile`, with
 
 * **machine registers as function locals** — every operand access is a
   ``LOAD_FAST``/``STORE_FAST`` instead of a list indexing;
@@ -40,26 +40,26 @@ with
   block id through a balanced comparison tree.
 
 Compilation is content-addressed: the generated module's code object
-and the path tables are persisted (``marshal`` + base64 inside a JSON
-artefact) in the cache directory, keyed on the program fingerprint,
-the codegen component digest and the Python ABI, so a sweep re-run
-loads bytecode instead of recompiling.  Artefacts are only *written*
-when the caller opts in (``persist=True`` — the profile cache and the
-bench harness do); every construction still consults the cache.
+and the path tables are persisted (``marshal`` + base64) as ``codegen``
+entries of the artefact store (:mod:`repro.evaluation.cache`), keyed
+on the program fingerprint, the codegen component digest and the
+Python ABI, so a sweep re-run loads checksummed bytecode instead of
+recompiling.  Artefacts are only *written* when the caller opts in
+(``persist=True`` — the profile cache and the bench harness do); every
+construction still consults the store.
 
-The backend is *semantics-complete or honest*, like the threaded one:
-anything it cannot compile becomes a bail-out, and any bail-out or
+The backend is *semantics-complete or honest*: a program the generator
+cannot express runs on the reference loop instead, anything it cannot
+compile inside a program becomes a bail-out, and any bail-out or
 machine fault at run time (wild indirect jump, uninitialised memory
 read, division by zero, step limit) falls back to one clean re-run —
 the reference loop reproduces the exact result or the exact fault.
-Three-way equality is enforced by ``tests/test_fuzz_equivalence.py``.
+Equality with the reference loop is enforced by
+``tests/test_fuzz_equivalence.py``.
 """
 
 import base64
-import hashlib
-import json
 import marshal
-import os
 import sys
 
 from repro.terms import tags
@@ -67,18 +67,29 @@ from repro.testing import faults
 from repro.emulator.machine import (
     EmulationResult, Emulator, decode, initial_memory, initial_registers,
     render_term,
-    _LD, _ST, _MOV, _LEA, _LDI, _JMP, _CALL, _JMPR, _DIV, _MOD,
-    _BTAG, _BNTAG, _BEQ, _BNE, _MKTAG, _GETTAG, _ESC, _HALT)
-from repro.emulator.threaded import (
-    _ALU_OPERATOR, _Bailout, _CMP_OPERATOR, _CONDITIONAL, _TERMINATORS,
-    _reachable_indices, basic_blocks)
+    _LD, _ST, _BTAG, _BNTAG, _MOV, _LEA, _LDI, _BEQ, _BNE, _JMP, _CALL,
+    _JMPR, _ADD, _SUB, _MUL, _DIV, _MOD, _AND, _OR, _XOR, _SLL, _SRA,
+    _BLTV, _BLEV, _BGTV, _BGEV, _MKTAG, _GETTAG, _ESC, _HALT)
 
-__all__ = ["CodegenEmulator", "codegen_code", "generate_source",
-           "CODEGEN_SCHEMA"]
+__all__ = ["CodegenEmulator", "basic_blocks", "codegen_code",
+           "generate_source"]
 
-#: bump when the generated code shape or the artefact layout changes
-#: (cache artefacts from other schema versions are never loaded)
-CODEGEN_SCHEMA = 2
+#: the artefact-store kind of persisted compiled programs
+ARTIFACT_KIND = "codegen"
+
+#: control transfers that terminate a basic block
+_TERMINATORS = frozenset([
+    _BTAG, _BNTAG, _BEQ, _BNE, _BLTV, _BLEV, _BGTV, _BGEV,
+    _JMP, _CALL, _JMPR, _HALT])
+
+#: conditional branches (the ops that contribute to ``taken``)
+_CONDITIONAL = frozenset([
+    _BTAG, _BNTAG, _BEQ, _BNE, _BLTV, _BLEV, _BGTV, _BGEV])
+
+_CMP_OPERATOR = {_BEQ: "==", _BNE: "!=", _BLTV: "<", _BLEV: "<=",
+                 _BGTV: ">", _BGEV: ">="}
+_ALU_OPERATOR = {_ADD: "+", _SUB: "-", _MUL: "*", _AND: "&", _OR: "|",
+                 _XOR: "^", _SLL: "<<", _SRA: ">>"}
 
 #: how many times one block may repeat on a profiled (tier-2) trace.
 #: Unrolling short-trip cycles inline looked attractive, but >1
@@ -140,6 +151,102 @@ _WORD_ALU_SIGN = {op: (1 if symbol == "+" else -1)
 #: allocate a huge integer a real run would only build at run time
 _SHIFT_OPS = {op for op, symbol in _ALU_OPERATOR.items()
               if symbol in ("<<", ">>")}
+
+
+class _Bailout(Exception):
+    """Internal: the compiled run hit something only the reference loop
+    handles exactly (step-limit edge, unsupported construct, wild jump).
+    """
+
+
+# --------------------------------------------------------------------------
+# Basic blocks and static reachability.
+
+def basic_blocks(program):
+    """The basic-block partition of *program*'s decoded code.
+
+    Returns a list of ``(start, end)`` index pairs.  Leaders are the
+    entry point, every label (all branch targets are labels, and any
+    label may be reached indirectly through ``ldi``/``jmpr``), and the
+    instruction after every control transfer (which covers ``call``
+    return addresses).
+    """
+    code, _ = decode(program)
+    n = len(code)
+    leaders = {program.entry_pc}
+    for index in program.labels.values():
+        if index < n:
+            leaders.add(index)
+    for pc, ins in enumerate(code):
+        if ins[0] in _TERMINATORS and pc + 1 < n:
+            leaders.add(pc + 1)
+    starts = sorted(leaders)
+    return [(start, end) for start, end in
+            zip(starts, starts[1:] + [n])]
+
+
+def _reachable_indices(code, spans, entry_pc):
+    """The block indices codegen must cover, or None for "all of them".
+
+    Compiling every basic block makes the generated module proportional
+    to *static* program size, which for one-shot programs (the fuzz
+    suite, `repro run`) is dominated by never-called library predicates.
+    This walks the static control flow instead: from the entry block,
+    follow branch/jump/call targets, fall-throughs, call return sites,
+    and every code address materialised by an `ldi` in reachable code
+    (the only way a label reaches a register, hence the only possible
+    `jmpr` targets — plus pc 0, where the initial CP/RL point).
+
+    Unreached blocks get no dispatch arm; an indirect jump into one
+    bails out and re-runs on the reference loop, so pruning can cost a
+    fallback but never an incorrect result.  If reachable code
+    manufactures code-tagged words out of thin air (`mktag`/`lea` with
+    the TCOD tag), the analysis gives up and returns None.
+    """
+    index_of = {start: index for index, (start, _end) in enumerate(spans)}
+    n = len(code)
+    roots = [index_of[entry_pc]]
+    if 0 in index_of:
+        roots.append(index_of[0])
+    reachable = set()
+    work = list(roots)
+    while work:
+        index = work.pop()
+        if index in reachable:
+            continue
+        reachable.add(index)
+        start, end = spans[index]
+        targets = []
+        terminated = False
+        for pc in range(start, end):
+            ins = code[pc]
+            op = ins[0]
+            if op == _LDI:
+                word = ins[2]
+                if word >= 0 and word & 0b1110 == _TCOD_BITS \
+                        and (word >> 4) in index_of:
+                    targets.append(index_of[word >> 4])
+            elif (op == _MKTAG and ins[3] == tags.TCOD) \
+                    or (op == _LEA and ins[4] == tags.TCOD):
+                return None
+            elif op in _TERMINATORS:
+                terminated = True
+                if op == _JMP:
+                    targets.append(index_of[ins[1]])
+                elif op == _CALL:
+                    targets.append(index_of[ins[2]])
+                    if pc + 1 in index_of:
+                        targets.append(index_of[pc + 1])
+                elif op in _CONDITIONAL:
+                    targets.append(index_of[ins[3]])
+                    if end < n:
+                        targets.append(index_of[end])
+                break
+        if not terminated and end < n:
+            targets.append(index_of[end])
+        work.extend(target for target in targets
+                    if target not in reachable)
+    return reachable
 
 
 # --------------------------------------------------------------------------
@@ -814,7 +921,7 @@ def generate_source(program, fire=False, profile=None):
 
 
 # --------------------------------------------------------------------------
-# Compilation + the content-addressed artefact cache.
+# Compilation + the content-addressed artefact store.
 
 class _CodegenCode:
     """One program's compiled codegen backend (memoised on the Program)."""
@@ -831,7 +938,8 @@ class _CodegenCode:
         self.entry = entry      # initial dispatch id (baked in _run)
         self.n = n              # program length in instructions
         self.paths = paths      # path id -> (dense blocks, dense takens)
-        self.source = source    # generated Python (for debugging)
+        self.source = source    # generated Python (debugging aid;
+        #                         None when loaded from the store)
         self.fire = fire        # compiled with the fault hook armed
         self.from_cache = from_cache
         self.tier = tier        # 1 = static heuristics, 2 = profiled
@@ -854,52 +962,34 @@ def _environment_key():
                              marshal.version)
 
 
-def _artifact_path(fingerprint):
-    from repro.benchmarks.suite import cache_dir
+def _artifact_key(store, fingerprint):
     from repro.evaluation.parallel import code_version
-    digest = hashlib.sha256(json.dumps({
-        "schema": CODEGEN_SCHEMA,
+    return store.key(ARTIFACT_KIND, {
         "fingerprint": fingerprint,
-        "codegen": code_version("codegen"),
+        "code": code_version(ARTIFACT_KIND),
         "environment": _environment_key(),
-    }, sort_keys=True).encode()).hexdigest()[:24]
-    return os.path.join(cache_dir(), "codegen-%s.json" % digest)
+    })
 
 
-def _load_artifact(path, fingerprint):
-    """The cached ``_CodegenCode`` at *path*, or None (miss/corrupt)."""
+def _from_payload(payload):
+    """The ``_CodegenCode`` a store payload holds, or None when it
+    cannot be loaded (a checksummed entry of the wrong shape)."""
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
-        if (payload.get("schema") != CODEGEN_SCHEMA
-                or payload.get("fingerprint") != fingerprint
-                or payload.get("environment") != _environment_key()):
-            return None
-        module = marshal.loads(base64.b64decode(payload["code"]))
         namespace = {}
-        exec(module, namespace)
+        exec(marshal.loads(base64.b64decode(payload["code"])), namespace)
         return _CodegenCode(
             namespace["_run"],
             [tuple(block) for block in payload["blocks"]],
             payload["jump"], payload["entry"], payload["n"],
             [(tuple(path_blocks), tuple(takens))
              for path_blocks, takens in payload["paths"]],
-            payload["source"], fire=False, from_cache=True,
-            tier=payload.get("tier", 1))
-    except FileNotFoundError:
-        return None
+            None, fire=False, from_cache=True, tier=payload["tier"])
     except Exception:
-        # torn/stale/corrupt artefact (or bytecode from a foreign ABI
-        # despite the key): recompile from source
         return None
 
 
-def _store_artifact(path, fingerprint, source, module, compiled):
-    from repro.atomicio import FileLock, atomic_write_json
-    payload = {
-        "schema": CODEGEN_SCHEMA,
-        "fingerprint": fingerprint,
-        "environment": _environment_key(),
+def _to_payload(module, compiled):
+    return {
         "entry": compiled.entry,
         "n": compiled.n,
         "tier": compiled.tier,
@@ -907,11 +997,8 @@ def _store_artifact(path, fingerprint, source, module, compiled):
         "jump": compiled.jump,
         "paths": [[list(path_blocks), list(takens)]
                   for path_blocks, takens in compiled.paths],
-        "source": source,
         "code": base64.b64encode(marshal.dumps(module)).decode("ascii"),
     }
-    with FileLock(os.path.join(os.path.dirname(path), ".lock")):
-        atomic_write_json(path, payload)
 
 
 #: sentinel memoising "the generator declined" on the Program
@@ -920,13 +1007,13 @@ _DECLINED = object()
 
 def codegen_code(program, persist=True):
     """Compile *program* for the codegen backend, or None when the
-    generator declines (the threaded backend then runs instead).
+    generator declines (the reference loop then runs instead).
 
-    Memoised on the Program and backed by the content-addressed
-    artefact cache; *persist* gates the cache *write* (reads always
-    happen), so one-shot fuzz programs do not litter the store.  A
-    compile under an armed ``emulator.codegen.block`` fault is neither
-    memoised nor persisted — the hook must not leak into clean runs.
+    Memoised on the Program and backed by the artefact store; *persist*
+    gates the store *write* (reads always happen), so one-shot fuzz
+    programs do not litter the store.  A compile under an armed
+    ``emulator.codegen.block`` fault is neither memoised nor persisted
+    — the hook must not leak into clean runs.
     """
     from repro.observability import tracing as observe
     fire = faults.armed(FAULT_SITE)
@@ -943,18 +1030,20 @@ def codegen_code(program, persist=True):
 
 def _compile(program, persist, fire, span, profile=None):
     from repro.benchmarks.suite import program_fingerprint
+    from repro.evaluation.cache import open_store
     from repro.observability import tracing as observe
     tier = 1 if profile is None else 2
     fingerprint = program_fingerprint(program)
     span.set(fingerprint=fingerprint, fire=fire, tier=tier)
-    path = None
-    if not fire:
-        try:
-            path = _artifact_path(fingerprint)
-        except OSError:
-            path = None      # unwritable cache dir: compile in-process
-        if path is not None and profile is None:
-            compiled = _load_artifact(path, fingerprint)
+    store = None if fire else open_store()
+    if store is not None:
+        key = _artifact_key(store, fingerprint)
+        if profile is None:
+            try:
+                payload = store.get(key)
+            except OSError:
+                payload = None   # unreadable cache dir: just compile
+            compiled = _from_payload(payload) if payload else None
             if compiled is not None:
                 observe.add("codegen.cache.hits")
                 span.set(cached=True, blocks=len(compiled.blocks),
@@ -969,7 +1058,8 @@ def _compile(program, persist, fire, span, profile=None):
         exec(module, namespace)
     except (SyntaxError, RecursionError, MemoryError, ValueError):
         # a program shape the generator cannot express (e.g. dispatch
-        # nesting past the parser limit): decline, run threaded
+        # nesting past the parser limit): decline, run the reference
+        # loop
         observe.add("emulator.codegen.compile_declined")
         span.set(declined=True)
         return None
@@ -977,9 +1067,9 @@ def _compile(program, persist, fire, span, profile=None):
                             len(decode(program)[0]), paths, source,
                             fire=fire, from_cache=False, tier=tier)
     span.set(cached=False, blocks=len(blocks))
-    if persist and not fire and path is not None:
+    if persist and store is not None:
         try:
-            _store_artifact(path, fingerprint, source, module, compiled)
+            store.put(key, _to_payload(module, compiled), wait=False)
             observe.add("codegen.cache.writes")
         except OSError:
             pass             # cache write failure never fails the run
@@ -993,7 +1083,7 @@ def _recompile_tier2(program, result, persist, heads=None):
     reference loop's, so tier selection can never change observable
     behaviour) seed a retrace with real branch weights; the optimised
     code replaces the tier-1 memo and — when persisting — overwrites
-    the cache artefact, so the *next* evaluation of this program loads
+    the store entry, so the *next* evaluation of this program loads
     the profiled build directly.  Returns None when the generator
     declines (the tier-1 code simply stays in place).
     """
@@ -1032,9 +1122,8 @@ class CodegenEmulator:
     def run(self):
         compiled = self.compiled
         if compiled is None:
-            from repro.emulator.threaded import ThreadedEmulator
-            return ThreadedEmulator(self.program,
-                                    max_steps=self.max_steps).run()
+            # the generator declined: the reference loop is exact
+            return Emulator(self.program, max_steps=self.max_steps).run()
         program = self.program
         regs = initial_registers(program, self.reg_index)
         # a prior clean run of this compiled code leaves the exact set

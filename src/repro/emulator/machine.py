@@ -8,12 +8,11 @@ output so compiled code can be validated against the reference interpreter.
 
 The emulator is a straight interpreter loop over pre-decoded instruction
 tuples; correctness and statistics, not speed, are its contract.  The
-fast paths are the threaded-code backend in
-:mod:`repro.emulator.threaded` (basic blocks as Python closures) and the
-codegen backend in :mod:`repro.emulator.codegen` (the whole program
-compiled to one Python function, registers as locals); both must stay
-bit-identical to this loop — :func:`run_program` selects between the
-three (``REPRO_EMULATOR_BACKEND``, default ``codegen``).
+fast path is the codegen backend in :mod:`repro.emulator.codegen` (the
+whole program compiled to one Python function, registers as locals),
+which must stay bit-identical to this loop — :func:`run_program`
+selects between the two (``REPRO_EMULATOR_BACKEND``, default
+``codegen``).
 """
 
 import os
@@ -23,7 +22,7 @@ from repro.terms import tags, Atom, Int, Var, Struct, term_to_string
 from repro.intcode import layout
 
 _BACKEND_ENV = "REPRO_EMULATOR_BACKEND"
-BACKENDS = ("codegen", "threaded", "reference")
+BACKENDS = ("codegen", "reference")
 
 
 def resolve_backend(backend=None):
@@ -85,7 +84,7 @@ def decode(program):
     """Pre-decode a program into dense tuples and a register map.
 
     The decode is memoised on the :class:`Program` object: every consumer
-    (the reference loop, the threaded backend, the debug stepper and the
+    (the reference loop, the codegen backend, the debug stepper and the
     dataflow limit in :mod:`repro.evaluation.dynamic`) shares one decode
     per program instead of re-walking the instruction list on each run.
     """
@@ -383,15 +382,15 @@ def run_program(program, max_steps=500_000_000, backend=None,
     """Emulate *program* on the selected backend and return the result.
 
     *backend* is ``"codegen"`` (the whole program compiled to one
-    Python function, the default), ``"threaded"`` (compiled basic-block
-    closures) or ``"reference"`` (the interpreter loop above); when
-    None the ``REPRO_EMULATOR_BACKEND`` environment variable decides.
-    All backends produce bit-identical :class:`EmulationResult` data;
-    the compiled ones fall back on any construct they cannot compile.
+    Python function, the default) or ``"reference"`` (the interpreter
+    loop above); when None the ``REPRO_EMULATOR_BACKEND`` environment
+    variable decides.  Both produce bit-identical
+    :class:`EmulationResult` data; codegen falls back to the reference
+    loop on any program or construct it cannot compile.
 
     *persist_artifacts* lets the codegen backend publish its compiled
-    artefact to the content-addressed cache (the profile cache and the
-    bench harness opt in; one-shot runs default to consult-only).
+    artefact to the artefact store (the profile cache and the bench
+    harness opt in; one-shot runs default to consult-only).
     """
     from repro.testing import faults
     from repro.observability import tracing as observe
@@ -408,9 +407,6 @@ def run_program(program, max_steps=500_000_000, backend=None,
     try:
         if name == "reference":
             result = Emulator(program, max_steps=max_steps).run()
-        elif name == "threaded":
-            from repro.emulator.threaded import ThreadedEmulator
-            result = ThreadedEmulator(program, max_steps=max_steps).run()
         else:
             from repro.emulator.codegen import CodegenEmulator
             result = CodegenEmulator(program, max_steps=max_steps,
@@ -420,9 +416,8 @@ def run_program(program, max_steps=500_000_000, backend=None,
             tracer.close(span, error=error)
         raise
     if tracer is not None:
-        # the threaded backend may have fallen back to the reference
-        # loop; the span records the backend that actually produced
-        # the result
+        # codegen may have fallen back to the reference loop; the span
+        # records the backend that actually produced the result
         tracer.close(span.set(steps=result.steps, status=result.status,
                               backend=result.backend))
         tracer.metrics.add("emulator.runs")

@@ -1,11 +1,10 @@
 """Pluggable content-addressed artefact stores.
 
 The evaluation pipeline memoises every DAG node — profiles, region
-layouts, cycle cells, experiment-level results — in a
-content-addressed store of checksummed JSON entries.  PR 2 introduced
-the single-directory :class:`CacheStore` with one global ``.lock``;
-this module makes the store a small pluggable surface so the serving
-layer (:mod:`repro.serve`) can scale it:
+layouts, cycle cells, experiment-level results — and the emulator its
+profiles and compiled programs in a content-addressed store of
+checksummed JSON entries.  The store is a small pluggable surface so
+the serving layer (:mod:`repro.serve`) can scale it:
 
 :class:`CacheStore`
     The single-directory backend.  Entry files are
@@ -43,9 +42,11 @@ Robustness invariants shared by both backends:
   the service's ``/metrics`` endpoint can reconcile them.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import threading
 import time
 import zlib
 
@@ -75,6 +76,15 @@ PUT_LOCK_TIMEOUT = 10.0
 
 #: ``open_store`` reads the shard count from this variable
 SHARDS_ENV = "REPRO_CACHE_SHARDS"
+
+
+#: per thread, the lock files held across a compute (see
+#: :meth:`CacheStore.single_flight`)
+_computing = threading.local()
+
+
+def _held_paths():
+    return _computing.__dict__.setdefault("paths", set())
 
 
 def _canonical(value):
@@ -148,6 +158,33 @@ class CacheStore:
         slot = zlib.crc32(key.encode()) % LOCK_SLOTS
         return os.path.join(self.root, ".lock-%02x" % slot)
 
+    def _held_here(self, key):
+        """True when this thread holds *key*'s lock file across a
+        compute (:meth:`single_flight`), possibly through another store
+        object.  Taking this object's lock would then wait on this very
+        thread; peers are excluded already, so callers go ahead."""
+        return self._lock_path(key) in _held_paths()
+
+    @contextlib.contextmanager
+    def single_flight(self, key):
+        """Hold *key*'s lock across a compute.
+
+        Yields True when this call took the lock, False when an outer
+        compute on this thread already holds its lock file (a served
+        request memoising its cells): the nested compute runs under
+        that hold instead of waiting on its own thread.
+        """
+        if self._held_here(key):
+            yield False
+            return
+        path = self._lock_path(key)
+        with self.lock_for(key):
+            _held_paths().add(path)
+            try:
+                yield True
+            finally:
+                _held_paths().discard(path)
+
     # -- reads -------------------------------------------------------------
 
     def get(self, key):
@@ -213,7 +250,9 @@ class CacheStore:
         lock either the repaired payload is served or the damage is
         confirmed and the entry discarded.
         """
-        with self.lock_for(key):
+        with contextlib.ExitStack() as stack:
+            if not self._held_here(key):
+                stack.enter_context(self.lock_for(key))
             try:
                 return self._read(path)
             except FileNotFoundError:
@@ -244,7 +283,15 @@ class CacheStore:
 
     # -- writes ------------------------------------------------------------
 
-    def put(self, key, payload):
+    def put(self, key, payload, wait=True):
+        """Publish *payload* under *key*.
+
+        With *wait* False the writer takes the key's lock only if it is
+        free and otherwise publishes at once: a caller that may run
+        inside another process's single-flight compute (the service
+        holds a request's lock while pool workers compute it) must not
+        stall behind that compute.
+        """
         obs.add("cache.writes")
         path = self.path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -252,7 +299,8 @@ class CacheStore:
                  "sha256": hashlib.sha256(
                      _canonical(payload).encode()).hexdigest()}
         lock = self.lock_for(key)
-        acquired = self._acquire_bounded(lock, PUT_LOCK_TIMEOUT)
+        acquired = not self._held_here(key) and self._acquire_bounded(
+            lock, PUT_LOCK_TIMEOUT if wait else 0)
         try:
             atomic_write_json(path, entry)
         finally:

@@ -114,13 +114,12 @@ _PROFILE_FILES = (
     "intcode/runtime.py",
     "intcode/layout.py",
 )
-#: the threaded and codegen backends are implementation details with a
-#: bit-identical output contract, so editing them (or switching
-#: backends — the active backend is a key component of profile nodes)
-#: invalidates only profile artefacts: region layouts and cycle cells
-#: consume profile *data*, which every backend produces identically.
-_PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/threaded.py",
-                                        "emulator/codegen.py")
+#: the codegen backend is an implementation detail with a bit-identical
+#: output contract, so editing it (or switching backends — the active
+#: backend is a key component of profile nodes and emulation entries)
+#: invalidates only profiles: region layouts and cycle cells consume
+#: profile *data*, which both backends produce identically.
+_PROFILE_ONLY_FILES = _PROFILE_FILES + ("emulator/codegen.py",)
 _REGION_FILES = _PROFILE_FILES + (
     "compaction/transform.py",
     "analysis/cfg.py",
@@ -146,8 +145,8 @@ _COMPONENT_FILES = {
     "static_ilp": _CELL_FILES,
     # the codegen backend's persisted compiled artefacts — keyed on the
     # generator + the decode/layout contract it bakes into the source
-    "codegen": ("emulator/machine.py", "emulator/threaded.py",
-                "emulator/codegen.py", "intcode/layout.py"),
+    "codegen": ("emulator/machine.py", "emulator/codegen.py",
+                "intcode/layout.py"),
     # whole-request results memoised by the evaluation service: they
     # wrap cell/verify/analyze outputs, so they depend on everything a
     # cell depends on plus the service's own result shaping
@@ -199,15 +198,16 @@ def memoised(kind, components, compute, store=None, use_cache=True):
     workers racing the same key no longer both compute and both write.
     The loser of the race re-reads under the lock, finds the winner's
     entry, and the dodged duplicate compute is counted as
-    ``cache.races``.
+    ``cache.races``.  A nested call whose key shares the lock file runs
+    under the outer hold (:meth:`CacheStore.single_flight`).
     """
     store = store or open_store()
     key = store.key(kind, dict(components, code=code_version(kind)))
     payload = store.get(key) if use_cache else None
     if payload is not None:
         return payload
-    with store.lock_for(key):
-        if use_cache:
+    with store.single_flight(key) as first:
+        if first and use_cache:
             payload = store.get(key)
             if payload is not None:
                 store.races += 1
@@ -242,7 +242,7 @@ def _worker_program(name, fingerprint):
                 "benchmark %r compiled to fingerprint %s in the worker, "
                 "expected %s — non-deterministic compilation?"
                 % (name, compiled, fingerprint))
-        result = run_program_cached(program, name + "-", backend)
+        result = run_program_cached(program, backend)
         entry = ((fingerprint, backend), program, result)
         _worker_programs[name] = entry
         _worker_regions.clear()
@@ -259,7 +259,7 @@ def _worker_region_set(name, fingerprint, regioning, budget):
             region_set = pipeline.basic_block_regions(program, result)
         else:
             region_set = pipeline.superblock_regions(
-                program, result, budget, name + "-")
+                program, result, budget)
         _worker_regions[key] = region_set
     return region_set
 

@@ -70,8 +70,7 @@ def basic_block_regions(program, result):
         return RegionSet(program, regions, result.counts, result.taken)
 
 
-def superblock_regions(program, result, tail_dup_budget=48,
-                       cache_hint=""):
+def superblock_regions(program, result, tail_dup_budget=48):
     """Regions = profile-driven superblocks (global compaction).
 
     The transformed program is re-emulated (cached) both for exact region
@@ -82,8 +81,7 @@ def superblock_regions(program, result, tail_dup_budget=48,
         faults.fire("pipeline.superblock")
         transform = form_superblocks(program, result.counts,
                                      result.taken, tail_dup_budget)
-        new_result = run_program_cached(
-            transform.program, cache_hint + "sb%d-" % tail_dup_budget)
+        new_result = run_program_cached(transform.program)
         if (new_result.status, new_result.output) != (result.status,
                                                       result.output):
             raise AssertionError(
@@ -216,7 +214,7 @@ def allocation_diagnostics(region_set, config, bank_size=VERIFY_BANK_SIZE):
 
 
 def verify_evaluation(program, result, configs, tail_dup_budget=48,
-                      cache_hint="", bank_size=VERIFY_BANK_SIZE):
+                      bank_size=VERIFY_BANK_SIZE):
     """Run the full checker stack over one compiled+profiled program.
 
     ``configs`` maps result keys to ``(MachineConfig, regioning)`` pairs
@@ -233,7 +231,7 @@ def verify_evaluation(program, result, configs, tail_dup_budget=48,
                                                              result)
             else:
                 region_sets[regioning] = superblock_regions(
-                    program, result, tail_dup_budget, cache_hint)
+                    program, result, tail_dup_budget)
                 diags.extend(
                     region_set_diagnostics(region_sets[regioning]))
         return region_sets[regioning]

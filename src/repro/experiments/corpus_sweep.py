@@ -105,12 +105,11 @@ def sweep_target(spec):
     budget = spec["budget"]
     program = translate_module(compile_source(spec["source"]))
     fingerprint = program_fingerprint(program)
-    hint = name + "-"
 
     # 1. Differential oracle: reference interpreter vs compiled
     # emulation.  The profile is cached; the interpreter run is cheap
     # (corpus programs are small by construction).
-    result = run_program_cached(program, hint)
+    result = run_program_cached(program)
     if result.steps > spec["max_steps"]:
         # cached profiles bypass the emulator's own ceiling
         raise AssertionError("%s: %d steps exceeds the corpus ceiling %d"
@@ -126,8 +125,7 @@ def sweep_target(spec):
     # 2. The independent checker over the config slice.
     configs = _corpus_configs()
     diagnostics = verify_evaluation(program, result, configs,
-                                    tail_dup_budget=budget,
-                                    cache_hint=hint)
+                                    tail_dup_budget=budget)
 
     # 3. Paper statistics: mix, branches, static ILP triple.
     mix = _instruction_mix(program, result.counts)
@@ -142,7 +140,7 @@ def sweep_target(spec):
     }
 
     bb_set = basic_block_regions(program, result)
-    trace_set = superblock_regions(program, result, budget, hint)
+    trace_set = superblock_regions(program, result, budget)
     seq_cycles = _cycles_cell(fingerprint, "bb", None, sequential(),
                               bb_set, True)
     achieved_cycles = _cycles_cell(fingerprint, "trace", budget,

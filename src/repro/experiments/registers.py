@@ -26,8 +26,8 @@ def benchmark_pressure(name, config=None):
     """Execution-weighted pressure statistics for one benchmark."""
     config = config or symbol3()
     program = compile_benchmark(name)
-    result = run_program_cached(program, name + "-")
-    region_set = superblock_regions(program, result, cache_hint=name + "-")
+    result = run_program_cached(program)
+    region_set = superblock_regions(program, result)
 
     weighted_maxlive = 0.0
     peak = 0

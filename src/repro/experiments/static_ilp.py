@@ -37,9 +37,8 @@ def _dataflow_limit(name, budget=BUDGET):
     config = ideal("dataflow")
 
     def compute():
-        result = run_program_cached(program, name + "-")
-        region_set = superblock_regions(program, result, budget,
-                                        name + "-")
+        result = run_program_cached(program)
+        region_set = superblock_regions(program, result, budget)
         return {"cycles": dataflow_limit_cycles(region_set, config)}
 
     payload = memoised(

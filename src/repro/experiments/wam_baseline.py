@@ -24,8 +24,8 @@ DEFAULT_BENCHMARKS = ["conc30", "nreverse", "qsort", "serialise",
                       "queens_8", "divide10", "times10", "mu"]
 
 
-def _seq_cycles(program, hint):
-    result = run_program_cached(program, hint)
+def _seq_cycles(program):
+    result = run_program_cached(program)
     return machine_cycles(basic_block_regions(program, result),
                           sequential()), result
 
@@ -37,8 +37,8 @@ def benchmark_ratio(name):
     bam_program = translate_module(compile_source(source))
     wam_program = translate_module(compile_source(
         source, options=CompilerOptions(indexing=False, lco=False)))
-    bam_cycles, bam_result = _seq_cycles(bam_program, name + "-")
-    wam_cycles, wam_result = _seq_cycles(wam_program, name + "-wam-")
+    bam_cycles, bam_result = _seq_cycles(bam_program)
+    wam_cycles, wam_result = _seq_cycles(wam_program)
     if (wam_result.status, wam_result.output) != (bam_result.status,
                                                   bam_result.output):
         raise AssertionError(

@@ -21,11 +21,10 @@ class Program:
         self.comments = comments or {}  # instruction index -> str
         # Execution caches, filled lazily by the emulator layer: the
         # pre-decoded instruction tuples (repro.emulator.machine.decode)
-        # and the threaded-code compilation (repro.emulator.threaded).
+        # and the codegen compilation (repro.emulator.codegen).
         # Programs are immutable once built, so both live for the
         # object's lifetime.
         self._decoded = None
-        self._threaded = None
         self._codegen = None
 
     def __len__(self):

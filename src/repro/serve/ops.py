@@ -208,11 +208,10 @@ def _compute_result(spec, engine):
     if op == "verify":
         from repro.evaluation.pipeline import verify_evaluation
         program = compile_benchmark(name)
-        result = run_program_cached(program, name + "-")
+        result = run_program_cached(program)
         diagnostics = verify_evaluation(
             program, result, _selected_configs(spec),
-            tail_dup_budget=spec["tail_dup_budget"],
-            cache_hint=name + "-")
+            tail_dup_budget=spec["tail_dup_budget"])
         entry = target_entry(name, diagnostics,
                              machine_configs=spec["configs"])
         entry["op"] = op

@@ -41,6 +41,13 @@ def interpret(source, query="main"):
     return engine.run_query(query), engine.output_text()
 
 
+def store_entries(root, kind):
+    """Live artefact-store entries of *kind* under the directory *root*
+    (a ``pathlib.Path``), in any shard layout, quarantine excluded."""
+    return sorted(path for path in root.rglob("cas-%s-*.json" % kind)
+                  if "quarantine" not in path.parts)
+
+
 def normalise_vars(text):
     """Unbound-variable names differ between interpreter and emulator."""
     return re.sub(r"_[A-Za-z0-9]+", "_", text)

@@ -4,8 +4,9 @@ Pins the robustness contract of :mod:`repro.evaluation.cache`: sharded
 placement and per-shard locking, corruption quarantine, the
 re-check-under-lock recovery path (a repaired entry must be served,
 not deleted), size-budgeted LRU eviction, single-flight memoisation
-(one compute per key under concurrency, races counted), and the
-bounded put-lock wait that prevents cross-slot deadlock.
+(one compute per key under concurrency, races counted, no deadlock
+when memoised calls nest), and the bounded put-lock wait that prevents
+cross-slot deadlock.
 """
 
 import json
@@ -296,6 +297,65 @@ def test_memoised_single_flight_across_stores(tmp_path):
     assert results["leader"] == results["follower"] == {"answer": 42}
     assert calls == ["slow"]        # single flight: one compute total
     assert second.races == 1
+
+
+def test_nested_memoised_on_held_slot_does_not_deadlock(tmp_path):
+    """A compute that memoises, through another store object, a key on
+    the lock slot the outer call holds (a served ``analyze`` request
+    memoising its cells) runs under the outer lock instead of waiting
+    on its own thread."""
+    from repro.evaluation.parallel import code_version
+    root = str(tmp_path / "cache")
+    outer, inner = CacheStore(root), CacheStore(root)
+
+    def lock_path(store, components):
+        return store.lock_for(store.key(
+            "cell", dict(components, code=code_version("cell")))).path
+
+    slot = lock_path(outer, {"n": 0})
+    n = next(n for n in range(1, 1000)
+             if lock_path(inner, {"n": n}) == slot)
+    results = {}
+
+    def run():
+        results["outer"] = memoised(
+            "cell", {"n": 0},
+            lambda: memoised("cell", {"n": n}, lambda: {"inner": n},
+                             store=inner),
+            store=outer)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive(), "nested memoised deadlocked"
+    assert results["outer"] == {"inner": n}
+    assert memoised("cell", {"n": n}, lambda: None, store=inner) \
+        == {"inner": n}
+
+
+def test_corrupt_read_under_held_slot_does_not_deadlock(tmp_path):
+    """Recovering a corrupt entry inside a compute that holds its lock
+    file (through another store object) re-checks under that hold."""
+    root = str(tmp_path / "cache")
+    outer, inner = CacheStore(root), CacheStore(root)
+    key = inner.key("emulation", {"fingerprint": "f"})
+    inner.put(key, {"steps": 1})
+    with open(inner.path(key), "w") as handle:
+        handle.write("{torn")
+    results = {}
+
+    def run():
+        with outer.single_flight(key) as first:
+            results["first"] = first
+            results["read"] = inner.get(key)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive(), "corrupt-entry recovery deadlocked"
+    assert results == {"first": True, "read": None}
+    assert inner.corrupt == 1
+    assert not os.path.exists(inner.path(key))
 
 
 def test_put_under_held_foreign_lock_counts_contention(tmp_path):

@@ -122,7 +122,7 @@ def test_bench_quick_writes_schema_valid_record(tmp_path):
     assert [entry["name"] for entry in document["benchmarks"]] \
         == list(QUICK_BENCHMARKS)
     assert sorted(document["benchmarks"][0]["backends"]) \
-        == ["codegen", "reference", "threaded"]
+        == ["codegen", "reference"]
     assert document["summary"]["all_identical"] is True
 
 
@@ -145,7 +145,6 @@ def test_bench_backend_subset(tmp_path):
     assert entry["backends"]["reference"]["produced_by"] == "reference"
     assert entry["backends"]["codegen"]["produced_by"] == "codegen"
     assert "codegen" in entry["speedups"]
-    assert "threaded" not in entry["backends"]
 
 
 def test_bench_rejects_names_with_quick(tmp_path):
@@ -250,7 +249,7 @@ def _profile_column(text, benchmark):
     return row.split()[-1]
 
 
-@pytest.mark.parametrize("backend", ("reference", "threaded", "codegen"))
+@pytest.mark.parametrize("backend", ("reference", "codegen"))
 def test_bench_quick_records_env_backend(tmp_path, monkeypatch, backend):
     import json
     monkeypatch.setenv("REPRO_EMULATOR_BACKEND", backend)
@@ -271,7 +270,7 @@ def test_evaluate_profile_backend_follows_env_override(
     the profile provenance of a sweep run under the other."""
     from repro.evaluation import parallel
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for backend in ("reference", "codegen", "threaded", "reference"):
+    for backend in ("reference", "codegen", "reference"):
         monkeypatch.setenv("REPRO_EMULATOR_BACKEND", backend)
         monkeypatch.setattr(parallel, "_worker_programs", {})
         monkeypatch.setattr(parallel, "_worker_regions", {})

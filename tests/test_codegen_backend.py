@@ -1,9 +1,8 @@
 """The codegen emulator backend: selection, bit-identical statistics,
-profile-guided tiering, the content-addressed artefact cache, and the
-reference fallback."""
+profile-guided tiering, its entries in the artefact store, the
+reference fallback, and the decline path."""
 
 import json
-import os
 
 import pytest
 
@@ -13,6 +12,7 @@ from repro.emulator import (
     CodegenEmulator, Emulator, EmulatorError, codegen_code, run_program)
 from repro.emulator import codegen as codegen_mod
 from repro.observability import tracing as observe
+from tests.conftest import store_entries
 
 
 def compile_program(source, entry=("main", 0)):
@@ -165,11 +165,16 @@ def test_fallback_increments_counter():
     assert tracer.metrics.count("emulator.codegen.fallbacks") == 1
 
 
-# -- the content-addressed artefact cache ----------------------------------
+# -- the artefact store -----------------------------------------------------
 
-def _codegen_artifacts(path):
-    return sorted(name for name in os.listdir(path)
-                  if name.startswith("codegen-"))
+def _entries(root):
+    return store_entries(root, "codegen")
+
+
+def _stored_payload(root):
+    [path] = _entries(root)
+    with open(path) as handle:
+        return json.load(handle)["payload"]
 
 
 def test_artifact_cache_cold_then_warm(tmp_path, monkeypatch):
@@ -182,8 +187,11 @@ def test_artifact_cache_cold_then_warm(tmp_path, monkeypatch):
     # runs past _TIER2_STEPS, so the first clean run re-optimises)
     assert tracer.metrics.count("codegen.cache.writes") == 2
     assert cold.compiled.from_cache is False
-    assert len(_codegen_artifacts(tmp_path)) == 1
-    # a fresh Program (same fingerprint) is served from the cache
+    assert len(_entries(tmp_path)) == 1
+    # every file the backend wrote is a checksummed store entry
+    assert [path.name for path in tmp_path.iterdir()
+            if path.suffix == ".json"] == [_entries(tmp_path)[0].name]
+    # a fresh Program (same fingerprint) is served from the store
     with observe.activation(seed=0) as tracer:
         warm = CodegenEmulator(compile_program(LOOP))
         second = warm.run()
@@ -199,46 +207,119 @@ def test_artifact_cache_cold_then_warm(tmp_path, monkeypatch):
 def test_persist_false_writes_no_artifact(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     CodegenEmulator(compile_program(LOOP), persist=False).run()
-    assert _codegen_artifacts(tmp_path) == []
+    assert _entries(tmp_path) == []
+
+
+def _tamper_bytecode(path):
+    """Damage the marshalled code but keep the entry valid JSON: only
+    the store's checksum can tell."""
+    with open(path) as handle:
+        entry = json.load(handle)
+    code = entry["payload"]["code"]
+    entry["payload"]["code"] = code[:40] + ("A" if code[40] != "A"
+                                            else "B") + code[41:]
+    with open(path, "w") as handle:
+        json.dump(entry, handle)
 
 
 def test_corrupt_artifact_recompiles(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     CodegenEmulator(compile_program(LOOP)).run()
-    [name] = _codegen_artifacts(tmp_path)
-    with open(tmp_path / name, "w") as handle:
-        handle.write("{not json")
+    [path] = _entries(tmp_path)
+    _tamper_bytecode(path)
     with observe.activation(seed=0) as tracer:
         emulator = CodegenEmulator(compile_program(LOOP))
         result = emulator.run()
+    assert tracer.metrics.count("cache.corrupt") == 1
     assert tracer.metrics.count("codegen.cache.misses") == 1
     assert emulator.compiled.from_cache is False
     assert result.backend == "codegen"
     assert_identical(compile_program(LOOP))
+    # the recompile republished a sound entry
+    assert CodegenEmulator(compile_program(LOOP)).compiled.from_cache
+
+
+def test_corrupt_artifact_quarantined_when_sharded(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_SHARDS", "4")
+    CodegenEmulator(compile_program(LOOP)).run()
+    [path] = _entries(tmp_path)
+    assert path.parent.name.startswith("shard-")
+    _tamper_bytecode(path)
+    with observe.activation(seed=0) as tracer:
+        emulator = CodegenEmulator(compile_program(LOOP))
+        result = emulator.run()
+    assert tracer.metrics.count("cache.quarantined") == 1
+    assert [entry.name for entry in (tmp_path / "quarantine").iterdir()] \
+        == [path.name]
+    assert emulator.compiled.from_cache is False
+    reference = Emulator(compile_program(LOOP)).run()
+    assert (result.steps, result.counts, result.taken) \
+        == (reference.steps, reference.counts, reference.taken)
 
 
 def test_wrong_schema_artifact_ignored(tmp_path, monkeypatch):
+    """A checksummed entry of the wrong shape is a miss, not a crash,
+    and the recompile overwrites it."""
+    from repro.evaluation.cache import open_store
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     CodegenEmulator(compile_program(LOOP)).run()
-    [name] = _codegen_artifacts(tmp_path)
-    with open(tmp_path / name) as handle:
-        payload = json.load(handle)
-    payload["schema"] = -1
-    with open(tmp_path / name, "w") as handle:
-        json.dump(payload, handle)
-    emulator = CodegenEmulator(compile_program(LOOP))
+    [path] = _entries(tmp_path)
+    store = open_store()
+    store.put(path.stem, {"tier": 2})
+    with observe.activation(seed=0) as tracer:
+        emulator = CodegenEmulator(compile_program(LOOP))
+    assert tracer.metrics.count("codegen.cache.misses") == 1
     assert emulator.compiled.from_cache is False
+    assert "code" in _stored_payload(tmp_path)
+
+
+def test_stale_codegen_version_recompiles(tmp_path, monkeypatch):
+    from repro.evaluation import parallel
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    CodegenEmulator(compile_program(LOOP)).run()
+    monkeypatch.setitem(parallel._code_versions, "codegen", "edited")
+    with observe.activation(seed=0) as tracer:
+        emulator = CodegenEmulator(compile_program(LOOP))
+    assert tracer.metrics.count("codegen.cache.misses") == 1
+    assert emulator.compiled.from_cache is False
+    assert len(_entries(tmp_path)) == 2
 
 
 def test_tier2_overwrites_artifact(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(codegen_mod, "_TIER2_STEPS", 1)
     CodegenEmulator(compile_program(LOOP)).run()
-    [name] = _codegen_artifacts(tmp_path)
-    with open(tmp_path / name) as handle:
-        assert json.load(handle)["tier"] == 2
+    assert _stored_payload(tmp_path)["tier"] == 2
     # the next evaluation of this program loads the profiled build
     warm = CodegenEmulator(compile_program(LOOP))
     assert warm.compiled.from_cache is True
     assert warm.compiled.tier == 2
     assert_identical(compile_program(LOOP))
+
+
+# -- the decline path ------------------------------------------------------
+
+def _decline(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RecursionError("nesting past the parser limit")
+    monkeypatch.setattr(codegen_mod, "generate_source", refuse)
+
+
+def test_declined_program_runs_reference_loop(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    _decline(monkeypatch)
+    program = compile_program(LOOP)
+    reference = Emulator(compile_program(LOOP)).run()
+    with observe.activation(seed=0) as tracer:
+        result = run_program(program, backend="codegen",
+                             persist_artifacts=True)
+    assert tracer.metrics.count("emulator.codegen.compile_declined") == 1
+    assert result.backend == "reference"
+    assert (result.status, result.steps, result.output, result.counts,
+            result.taken) == (reference.status, reference.steps,
+                              reference.output, reference.counts,
+                              reference.taken)
+    # the decline is memoised on the Program and nothing is persisted
+    assert codegen_code(program) is None
+    assert _entries(tmp_path) == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bam import compile_source
 from repro.intcode import translate_module, optimize_program
-from repro.emulator import CodegenEmulator, Emulator, ThreadedEmulator
+from repro.emulator import CodegenEmulator, Emulator
 from repro.testing import faults
 
 from tests.conftest import (
@@ -134,19 +134,18 @@ def test_random_unification_agrees(left, right):
 
 
 # --------------------------------------------------------------------------
-# Backend differential fuzzing: the threaded-code and codegen backends
-# must be bit-identical to the reference loop on every observable field.
+# Backend differential fuzzing: the codegen backend must be bit-identical
+# to the reference loop on every observable field.
 
 def assert_backends_identical(program, max_steps=50_000_000):
     reference = Emulator(program, max_steps=max_steps).run()
-    for cls in (ThreadedEmulator, CodegenEmulator):
-        kwargs = {"persist": False} if cls is CodegenEmulator else {}
-        other = cls(program, max_steps=max_steps, **kwargs).run()
-        assert other.status == reference.status, cls.__name__
-        assert other.steps == reference.steps, cls.__name__
-        assert other.output == reference.output, cls.__name__
-        assert other.counts == reference.counts, cls.__name__
-        assert other.taken == reference.taken, cls.__name__
+    other = CodegenEmulator(program, max_steps=max_steps,
+                            persist=False).run()
+    assert other.status == reference.status
+    assert other.steps == reference.steps
+    assert other.output == reference.output
+    assert other.counts == reference.counts
+    assert other.taken == reference.taken
 
 
 @settings(max_examples=30, deadline=None)

@@ -111,8 +111,7 @@ def dcg_profiles():
     profiles = {}
     for name in GOLDEN_DCG:
         program = compile_benchmark(name)
-        profiles[name] = (program, run_program_cached(program,
-                                                      name + "-"))
+        profiles[name] = (program, run_program_cached(program))
     return profiles
 
 
@@ -125,7 +124,7 @@ def test_dcg_workload_speedup(dcg_profiles, name):
     seq = machine_cycles(basic_block_regions(program, result),
                          sequential())
     trace = machine_cycles(
-        superblock_regions(program, result, 48, name + "-"),
+        superblock_regions(program, result, 48),
         ideal("ideal_tr"))
     golden_speedup = GOLDEN_DCG[name][0]
     assert seq / trace == pytest.approx(golden_speedup, abs=0.10)
@@ -167,8 +166,8 @@ def test_pruned_schedule_golden_cycles():
         superblock_regions
 
     program = compile_benchmark("conc30")
-    result = run_program_cached(program, "conc30-")
-    region_set = superblock_regions(program, result, 48, "conc30-")
+    result = run_program_cached(program)
+    region_set = superblock_regions(program, result, 48)
     baseline = machine_cycles(region_set, ideal("ideal_tr"))
     config = ideal("ideal_tr")
     config.analysis_prune = True

@@ -1,14 +1,26 @@
-"""The threaded-code emulator backend: selection, caching, fusion
-bookkeeping, bit-identical statistics, and the reference fallback."""
+"""What replaced the threaded-code backend.
+
+The emulator had a third backend, threaded code, whose only job on the
+default path was to run the programs codegen declines to compile.  It
+is gone: two backends remain, the helpers codegen took from it live in
+:mod:`repro.emulator.codegen`, and a declined program runs on the
+reference loop.  These tests pin that down: backend selection, the
+decline path, the basic-block partition, and the backend provenance of
+the emulation entries in the artefact store.
+"""
+
+import json
 
 import pytest
 
 from repro.bam import compile_source
 from repro.intcode import translate_module
 from repro.emulator import (
-    BACKENDS, Emulator, EmulatorError, ThreadedEmulator, resolve_backend,
-    run_program, threaded_code)
-from repro.emulator.threaded import basic_blocks, _TERMINATORS
+    BACKENDS, CodegenEmulator, Emulator, EmulatorError, codegen_code,
+    resolve_backend, run_program)
+from repro.emulator import codegen as codegen_mod
+from repro.emulator.codegen import basic_blocks, _TERMINATORS
+from tests.conftest import store_entries
 
 
 def compile_program(source, entry=("main", 0)):
@@ -23,17 +35,28 @@ main :- count(200), write(done), nl.
 """
 
 
+@pytest.fixture
+def declined(monkeypatch):
+    """Make the codegen generator decline every program."""
+    def refuse(*args, **kwargs):
+        raise RecursionError("nesting past the parser limit")
+    monkeypatch.setattr(codegen_mod, "generate_source", refuse)
+
+
 # -- backend selection -----------------------------------------------------
 
 def test_backend_order_prefers_codegen():
-    assert BACKENDS == ("codegen", "threaded", "reference")
+    assert BACKENDS == ("codegen", "reference")
     assert resolve_backend(None) == "codegen"
 
 
 def test_resolve_explicit_backends():
     assert resolve_backend("reference") == "reference"
-    assert resolve_backend("threaded") == "threaded"
     assert resolve_backend("codegen") == "codegen"
+    with pytest.raises(ValueError) as error:
+        resolve_backend("threaded")
+    assert "'threaded'" in str(error.value)
+    assert "codegen, reference" in str(error.value)
 
 
 def test_resolve_backend_rejects_unknown():
@@ -49,19 +72,21 @@ def test_backend_environment_variable(monkeypatch):
 
 
 def test_backend_environment_variable_invalid(monkeypatch):
-    monkeypatch.setenv("REPRO_EMULATOR_BACKEND", "nonesuch")
+    monkeypatch.setenv("REPRO_EMULATOR_BACKEND", "threaded")
     with pytest.raises(ValueError):
         run_program(compile_program(HELLO))
 
 
 def test_run_program_reports_backend():
     program = compile_program(HELLO)
-    assert run_program(program, backend="threaded").backend == "threaded"
+    assert run_program(program, backend="codegen").backend == "codegen"
     assert run_program(program, backend="reference").backend \
         == "reference"
+    with pytest.raises(ValueError):
+        run_program(program, backend="threaded")
 
 
-# -- program-level caches (satellite: decode memoisation) ------------------
+# -- program-level caches --------------------------------------------------
 
 def test_decode_cached_on_program():
     from repro.emulator import decode
@@ -72,55 +97,53 @@ def test_decode_cached_on_program():
     assert decode(program) is first
 
 
-def test_threaded_code_cached_on_program():
+def test_threaded_code_cached_on_program(declined):
+    """A decline is memoised on the Program like a compile is."""
     program = compile_program(HELLO)
-    assert program._threaded is None
-    compiled = threaded_code(program)
-    assert threaded_code(program) is compiled
-    assert program._threaded is compiled
+    assert codegen_code(program, persist=False) is None
+    assert program._codegen is codegen_mod._DECLINED
+    assert codegen_code(program, persist=False) is None
 
 
 def test_emulators_share_one_decode():
     program = compile_program(LOOP)
     Emulator(program)
     first = program._decoded
-    ThreadedEmulator(program)
+    CodegenEmulator(program, persist=False)
     assert program._decoded is first
 
 
-# -- bit-identical results -------------------------------------------------
+# -- the decline path: bit-identical to the reference loop -----------------
 
 def assert_identical(program, **kwargs):
     reference = Emulator(program, **kwargs).run()
-    threaded = ThreadedEmulator(program, **kwargs).run()
-    assert threaded.status == reference.status
-    assert threaded.steps == reference.steps
-    assert threaded.output == reference.output
-    assert threaded.counts == reference.counts
-    assert threaded.taken == reference.taken
-    return reference, threaded
+    declined = CodegenEmulator(program, persist=False, **kwargs).run()
+    assert declined.status == reference.status
+    assert declined.steps == reference.steps
+    assert declined.output == reference.output
+    assert declined.counts == reference.counts
+    assert declined.taken == reference.taken
+    return reference, declined
 
 
-def test_identical_on_simple_program():
-    reference, threaded = assert_identical(compile_program(HELLO))
-    assert threaded.backend == "threaded"
-    assert reference.backend == "reference"
+def test_identical_on_simple_program(declined):
+    reference, result = assert_identical(compile_program(HELLO))
+    assert result.backend == reference.backend == "reference"
 
 
-def test_identical_on_looping_program():
+def test_identical_on_looping_program(declined):
     assert_identical(compile_program(LOOP))
 
 
-def test_identical_on_failing_query():
+def test_identical_on_failing_query(declined):
     program = compile_program("p(1).\nmain :- p(2), write(yes), nl.")
-    reference, threaded = assert_identical(program)
+    reference, _result = assert_identical(program)
     assert reference.status == 1
 
 
-def test_identical_across_repeated_runs():
-    """The cached runtime must reset machine state between runs."""
+def test_identical_across_repeated_runs(declined):
     program = compile_program(LOOP)
-    emulator = ThreadedEmulator(program)
+    emulator = CodegenEmulator(program, persist=False)
     first = emulator.run()
     second = emulator.run()
     assert second.steps == first.steps
@@ -129,45 +152,40 @@ def test_identical_across_repeated_runs():
     assert second.taken == first.taken
 
 
-def test_branch_probabilities_match():
+def test_branch_probabilities_match(declined):
     program = compile_program(LOOP)
     reference = Emulator(program).run()
-    threaded = ThreadedEmulator(program).run()
+    result = CodegenEmulator(program, persist=False).run()
     for pc in range(len(program)):
-        assert threaded.branch_probability(pc) \
+        assert result.branch_probability(pc) \
             == reference.branch_probability(pc)
 
 
-# -- the reference fallback ------------------------------------------------
-
-def test_step_limit_falls_back_to_exact_fault():
+def test_step_limit_falls_back_to_exact_fault(declined):
     program = compile_program(LOOP)
     baseline = Emulator(program).run()
     limit = baseline.steps // 2
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=limit).run()
-    with pytest.raises(EmulatorError) as threaded_error:
-        ThreadedEmulator(program, max_steps=limit).run()
-    assert str(threaded_error.value) == str(reference_error.value)
+    with pytest.raises(EmulatorError) as declined_error:
+        CodegenEmulator(program, max_steps=limit, persist=False).run()
+    assert str(declined_error.value) == str(reference_error.value)
 
 
-def test_tight_step_limit_still_exact():
+def test_tight_step_limit_still_exact(declined):
     program = compile_program(HELLO)
-    with pytest.raises(EmulatorError) as threaded_error:
-        ThreadedEmulator(program, max_steps=1).run()
+    with pytest.raises(EmulatorError) as declined_error:
+        CodegenEmulator(program, max_steps=1, persist=False).run()
     with pytest.raises(EmulatorError) as reference_error:
         Emulator(program, max_steps=1).run()
-    assert str(threaded_error.value) == str(reference_error.value)
+    assert str(declined_error.value) == str(reference_error.value)
 
 
-def test_fallback_result_reports_reference_backend():
-    """A run completed by the fallback is labelled with the backend that
-    actually produced it."""
+def test_fallback_result_reports_reference_backend(declined):
+    """A run the reference loop completed says so, through every entry
+    point, even though codegen was asked for."""
     program = compile_program(LOOP)
-    baseline = ThreadedEmulator(program).run()
-    # A limit large enough to finish never falls back...
-    assert ThreadedEmulator(
-        program, max_steps=baseline.steps).run().backend == "threaded"
+    assert run_program(program, backend="codegen").backend == "reference"
 
 
 # -- block structure -------------------------------------------------------
@@ -197,52 +215,50 @@ def test_blocks_have_at_most_one_terminator():
         assert interior == []
 
 
-def test_generated_source_is_kept_for_debugging():
-    program = compile_program(HELLO)
-    compiled = threaded_code(program)
-    assert compiled.source.startswith("def _make(")
-    assert "while" not in compiled.source  # closures, not a loop
+def test_generated_source_is_kept_for_debugging(tmp_path, monkeypatch):
+    """The generated source stays on a fresh compile but is not
+    persisted: a build loaded from the store has none."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    compiled = codegen_code(compile_program(HELLO))
+    assert compiled.source.startswith("def _run(")
+    [path] = store_entries(tmp_path, "codegen")
+    with open(path) as handle:
+        assert "source" not in json.load(handle)["payload"]
+    assert codegen_code(compile_program(HELLO)).source is None
 
 
-# -- cache payload (suite integration) -------------------------------------
+# -- emulation entries in the artefact store -------------------------------
 
 def test_profile_cache_records_backend(tmp_path, monkeypatch):
-    import json
-    import os
     from repro.benchmarks.suite import run_program_cached
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     program = compile_program(HELLO)
-    result = run_program_cached(program, "hello-")
+    result = run_program_cached(program)
     assert result.backend == "codegen"
-    entries = [name for name in os.listdir(tmp_path)
-               if name.endswith(".json")
-               and not name.startswith("codegen-")]
-    assert len(entries) == 1
-    with open(tmp_path / entries[0]) as handle:
-        payload = json.load(handle)
-    assert payload["backend"] == "codegen"
+    [path] = store_entries(tmp_path, "emulation")
+    with open(path) as handle:
+        assert json.load(handle)["payload"]["backend"] == "codegen"
     # A warm read reports the backend that produced the artefact.
-    cached = run_program_cached(program, "hello-")
+    cached = run_program_cached(program)
     assert cached.backend == "codegen"
     assert cached.counts == result.counts
 
 
 def test_profile_cache_backend_mismatch_recomputes(tmp_path, monkeypatch):
-    import json
-    import os
     from repro.benchmarks.suite import run_program_cached
+    from repro.observability import tracing as observe
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     program = compile_program(HELLO)
-    reference = run_program_cached(program, "hello-", backend="reference")
-    # The cache key is backend-independent, but the provenance contract
-    # is that the reported backend always matches the one requested: a
-    # hit produced under a different backend is recomputed, not served.
-    hit = run_program_cached(program, "hello-", backend="threaded")
-    assert hit.backend == "threaded"
-    assert hit.counts == reference.counts
-    # ... and the artefact on disk now records the new producer.
-    entries = [name for name in os.listdir(tmp_path)
-               if name.endswith(".json")]
-    assert len(entries) == 1
-    with open(tmp_path / entries[0]) as handle:
-        assert json.load(handle)["backend"] == "threaded"
+    reference = run_program_cached(program, backend="reference")
+    # The backend is part of the key: an entry produced under another
+    # backend is never served, so the reported backend always matches
+    # the one requested.
+    with observe.activation(seed=0) as tracer:
+        compiled = run_program_cached(program, backend="codegen")
+    assert tracer.metrics.count("profile_cache.misses") == 1
+    assert compiled.backend == "codegen"
+    assert compiled.counts == reference.counts
+    # ... and both entries stay, each serving its own backend.
+    assert len(store_entries(tmp_path, "emulation")) == 2
+    assert run_program_cached(program, backend="reference").backend \
+        == "reference"

@@ -27,9 +27,8 @@ def test_benchmark_lints_clean(name):
 @pytest.mark.parametrize("name", TABLE_BENCHMARKS)
 def test_benchmark_pipeline_verifies(name, verifier_configs):
     program = compile_benchmark(name)
-    result = run_program_cached(program, name + "-")
-    diagnostics = verify_evaluation(program, result, verifier_configs,
-                                    cache_hint=name + "-")
+    result = run_program_cached(program)
+    diagnostics = verify_evaluation(program, result, verifier_configs)
     assert diagnostics == [], format_diagnostics(diagnostics)
 
 
@@ -42,9 +41,8 @@ def test_evaluate_benchmark_verify_flag(verifier_configs):
 def test_machine_cycles_verify_matches_unverified(verifier_configs):
     name = "nreverse"
     program = compile_benchmark(name)
-    result = run_program_cached(program, name + "-")
-    region_set = superblock_regions(program, result,
-                                    cache_hint=name + "-")
+    result = run_program_cached(program)
+    region_set = superblock_regions(program, result)
     config, _ = verifier_configs["vliw3"]
     assert machine_cycles(region_set, config, verify=True) \
         == machine_cycles(region_set, config)
@@ -53,7 +51,6 @@ def test_machine_cycles_verify_matches_unverified(verifier_configs):
 def test_transformed_benchmarks_lint_clean(verifier_configs):
     for name in ("qsort", "tak", "conc30"):
         program = compile_benchmark(name)
-        result = run_program_cached(program, name + "-")
-        region_set = superblock_regions(program, result,
-                                        cache_hint=name + "-")
+        result = run_program_cached(program)
+        region_set = superblock_regions(program, result)
         assert lint_program(region_set.program) == []
