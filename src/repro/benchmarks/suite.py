@@ -94,10 +94,10 @@ def run_program_cached(program, backend=None):
     identical results publish atomically.
     """
     # imported here: repro.evaluation imports this module
-    from repro.evaluation.cache import open_store
+    from repro.evaluation.cache import CacheStore
     from repro.evaluation.parallel import code_version
     wanted = resolve_backend(backend)
-    store = open_store()
+    store = CacheStore()
     key = store.key(EMULATION_KIND, {
         "fingerprint": program_fingerprint(program), "backend": wanted,
         "code": code_version("profile")})

@@ -1030,12 +1030,12 @@ def codegen_code(program, persist=True):
 
 def _compile(program, persist, fire, span, profile=None):
     from repro.benchmarks.suite import program_fingerprint
-    from repro.evaluation.cache import open_store
+    from repro.evaluation.cache import CacheStore
     from repro.observability import tracing as observe
     tier = 1 if profile is None else 2
     fingerprint = program_fingerprint(program)
     span.set(fingerprint=fingerprint, fire=fire, tier=tier)
-    store = None if fire else open_store()
+    store = None if fire else CacheStore()
     if store is not None:
         key = _artifact_key(store, fingerprint)
         if profile is None:

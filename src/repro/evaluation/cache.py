@@ -1,45 +1,36 @@
-"""Pluggable content-addressed artefact stores.
+"""The content-addressed artefact store.
 
 The evaluation pipeline memoises every DAG node — profiles, region
 layouts, cycle cells, experiment-level results — and the emulator its
-profiles and compiled programs in a content-addressed store of
-checksummed JSON entries.  The store is a small pluggable surface so
-the serving layer (:mod:`repro.serve`) can scale it:
+profiles and compiled programs in one :class:`CacheStore` of
+checksummed JSON entries.  Entry files are ``cas-<kind>-<keyhash>.json``
+in one directory; writers are serialised per *lock slot* (the key hash
+picks one of :data:`LOCK_SLOTS` advisory lock files) instead of one
+global lock, so unrelated keys do not contend.
 
-:class:`CacheStore`
-    The single-directory backend.  Entry files are
-    ``cas-<kind>-<keyhash>.json``; writers are serialised per *lock
-    slot* (the key hash picks one of :data:`LOCK_SLOTS` advisory lock
-    files) instead of one global lock, so unrelated keys no longer
-    contend.
-
-:class:`ShardedCacheStore`
-    Entries are spread over ``shard-XX/`` subdirectories by key hash,
-    each shard with its own ``.lock``.  Adds corruption *quarantine*
-    (a damaged entry is moved aside for post-mortem rather than
-    silently unlinked), a size-budgeted LRU eviction sweep
-    (:meth:`gc`, surfaced as ``repro cache gc``) and the
-    ``cache.shard`` fault-injection site.
-
-:func:`open_store`
-    Factory honouring ``REPRO_CACHE_SHARDS`` — the engine, the CLI and
-    the service all open their store through it, so a deployment picks
-    its backend with one environment variable.
-
-Robustness invariants shared by both backends:
+Robustness invariants:
 
 * Reads are optimistic and lock-free.  A corrupt or checksum-mismatched
   entry is **re-checked under the key's lock** before being discarded:
   a concurrent writer may have repaired it between our read and our
-  delete, and unlinking the fresh entry would throw its work away.
-* Writes go through :func:`repro.atomicio.atomic_write_json` under the
+  move, and discarding the fresh entry would throw its work away.  A
+  confirmed-corrupt entry is moved into ``quarantine/`` for post-mortem
+  (counted as ``cache.quarantined``), never served.
+* Writes go through :func:`repro.atomicio.atomic_write_text` under the
   key's lock.  If the lock cannot be acquired within a bound the write
   proceeds unlocked — the atomic rename alone already guarantees
   readers never see a torn file, so a wedged peer cannot deadlock a
   writer (the bounded wait is counted as lock contention).
+* The ``cache.read`` fault site injects on-disk damage (``corrupt``)
+  and transient read errors (``error``); both read as a miss and heal
+  into a recompute, never a wrong answer.
 * Counters (hits/misses/corrupt plus quarantined/evictions/races/
   contention) are mirrored into the observability layer so a tracer or
   the service's ``/metrics`` endpoint can reconcile them.
+
+Older releases could spread entries over ``shard-XX/`` subdirectories;
+the store never looks there, so such entries read as misses and the
+directories can be deleted.
 """
 
 import contextlib
@@ -50,7 +41,7 @@ import threading
 import time
 import zlib
 
-from repro.atomicio import FileLock, atomic_write_json
+from repro.atomicio import FileLock, atomic_write_text
 from repro.benchmarks.suite import cache_dir
 from repro.observability import tracing as obs
 from repro.testing import faults
@@ -58,8 +49,6 @@ from repro.testing import faults
 __all__ = [
     "CACHE_SCHEMA",
     "CacheStore",
-    "ShardedCacheStore",
-    "open_store",
 ]
 
 #: bump to invalidate every cached artefact (layout/format changes)
@@ -73,9 +62,6 @@ LOCK_SLOTS = 16
 #: an unlocked (still atomic) publish — prevents cross-key deadlock
 #: when two single-flight computes write each other's slots
 PUT_LOCK_TIMEOUT = 10.0
-
-#: ``open_store`` reads the shard count from this variable
-SHARDS_ENV = "REPRO_CACHE_SHARDS"
 
 
 #: per thread, the lock files held across a compute (see
@@ -102,9 +88,9 @@ class CacheStore:
     Entries live as ``cas-<kind>-<keyhash>.json`` files wrapping the
     payload together with a checksum of its canonical encoding; a
     missing, truncated, corrupt or checksum-mismatched entry reads as
-    a miss (and is discarded *under the key's lock* — see
+    a miss (and is quarantined *under the key's lock* — see
     :meth:`_recover`) so it is recomputed, never trusted.  Writes are
-    crash-safe (:func:`repro.atomicio.atomic_write_json`: temp file +
+    crash-safe (:func:`repro.atomicio.atomic_write_text`: temp file +
     fsync + atomic rename) and serialised under the key's slot lock,
     so concurrent workers — or two whole CLI runs sharing the
     directory — can race on the same key without ever exposing a torn
@@ -193,7 +179,9 @@ class CacheStore:
         try:
             self._pre_read_faults(path)
             payload = self._read(path)
-        except FileNotFoundError:
+        except (FileNotFoundError, faults.InjectedFault):
+            # an injected transient read error is a miss, not an
+            # outage: the caller recomputes and rewrites the entry
             self.misses += 1
             obs.add("cache.misses")
             self._note_kind(key, "misses")
@@ -224,6 +212,8 @@ class CacheStore:
             counts[outcome] += 1
 
     def _pre_read_faults(self, path):
+        """Enact an armed ``cache.read`` fault: ``corrupt`` damages the
+        entry on disk, ``error`` raises :class:`faults.InjectedFault`."""
         if faults.armed("cache.read") and os.path.exists(path) \
                 and faults.fire("cache.read") == "corrupt":
             faults.corrupt_file(path)
@@ -248,7 +238,7 @@ class CacheStore:
         Discarding without the lock could unlink an entry a concurrent
         writer repaired between our read and our delete; under the
         lock either the repaired payload is served or the damage is
-        confirmed and the entry discarded.
+        confirmed and the entry quarantined.
         """
         with contextlib.ExitStack() as stack:
             if not self._held_here(key):
@@ -264,15 +254,26 @@ class CacheStore:
                 self.misses += 1
                 obs.add("cache.corrupt")
                 obs.add("cache.misses")
-                self._discard(path)
+                self._quarantine(path)
                 return None
 
-    def _discard(self, path):
-        """Remove a confirmed-corrupt entry (holding the key's lock)."""
+    def _quarantine(self, path):
+        """Move a confirmed-corrupt entry into ``quarantine/`` (holding
+        the key's lock), keeping the evidence; unlink it if the move
+        fails."""
+        directory = self._quarantine_dir()
         try:
-            os.remove(path)
+            os.makedirs(directory, exist_ok=True)
+            os.replace(path, os.path.join(directory,
+                                          os.path.basename(path)))
         except OSError:
-            pass
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+            return
+        self.quarantined += 1
+        obs.add("cache.quarantined")
 
     def _touch(self, path):
         """Refresh the entry's mtime so LRU eviction sees the hit."""
@@ -295,14 +296,17 @@ class CacheStore:
         obs.add("cache.writes")
         path = self.path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {"key": key, "schema": CACHE_SCHEMA, "payload": payload,
-                 "sha256": hashlib.sha256(
-                     _canonical(payload).encode()).hexdigest()}
+        # encode the payload once: its canonical form is checksummed
+        # and written as is (``_read`` re-encodes what it decodes)
+        encoded = _canonical(payload)
+        text = '{"key": %s, "schema": %d, "payload": %s, "sha256": %s}\n' \
+            % (json.dumps(key), CACHE_SCHEMA, encoded, json.dumps(
+                hashlib.sha256(encoded.encode()).hexdigest()))
         lock = self.lock_for(key)
         acquired = not self._held_here(key) and self._acquire_bounded(
             lock, PUT_LOCK_TIMEOUT if wait else 0)
         try:
-            atomic_write_json(path, entry)
+            atomic_write_text(path, text)
         finally:
             if acquired:
                 lock.release()
@@ -331,27 +335,22 @@ class CacheStore:
 
     # -- maintenance -------------------------------------------------------
 
-    def _entry_dirs(self):
-        return [self.root]
-
     def entries(self):
         """``(path, size, mtime)`` of every entry file, oldest first."""
         found = []
-        for directory in self._entry_dirs():
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            names = []
+        for name in sorted(names):
+            if not (name.startswith("cas-") and name.endswith(".json")):
+                continue
+            path = os.path.join(self.root, name)
             try:
-                names = os.listdir(directory)
+                status = os.stat(path)
             except OSError:
                 continue
-            for name in sorted(names):
-                if not (name.startswith("cas-")
-                        and name.endswith(".json")):
-                    continue
-                path = os.path.join(directory, name)
-                try:
-                    status = os.stat(path)
-                except OSError:
-                    continue
-                found.append((path, status.st_size, status.st_mtime))
+            found.append((path, status.st_size, status.st_mtime))
         found.sort(key=lambda item: (item[2], item[0]))
         return found
 
@@ -378,7 +377,6 @@ class CacheStore:
                 pass
         return {
             "root": self.root,
-            "shards": getattr(self, "shards", 1),
             "entries": len(entries),
             "bytes": sum(size for _, size, _ in entries),
             "quarantined_files": len(quarantine),
@@ -451,98 +449,11 @@ class CacheStore:
             "evictions": self.evictions,
             "races": self.races,
             "contention": self.contention,
-            "shards": getattr(self, "shards", 1),
         })
         return counters
 
 
-class ShardedCacheStore(CacheStore):
-    """A :class:`CacheStore` spread over per-shard subdirectories.
-
-    The key hash picks one of *shards* ``shard-XX/`` directories, each
-    with its own ``.lock``, so concurrent writers only contend when
-    they actually share a shard.  Confirmed-corrupt entries are moved
-    into ``quarantine/`` (counted as ``cache.quarantined``) instead of
-    unlinked, preserving the evidence; the ``cache.shard`` fault site
-    injects read-path corruption and transient shard I/O errors, both
-    of which must heal into a recompute, never a wrong answer.
-    """
-
-    def __init__(self, root=None, shards=8):
-        super().__init__(root)
-        self.shards = max(1, int(shards))
-
-    def shard_of(self, key):
-        return zlib.crc32(key.encode()) % self.shards
-
-    def shard_dir(self, index):
-        return os.path.join(self.root, "shard-%02x" % index)
-
-    def path(self, key):
-        return os.path.join(self.shard_dir(self.shard_of(key)),
-                            key + ".json")
-
-    def _lock_path(self, key):
-        return os.path.join(self.shard_dir(self.shard_of(key)), ".lock")
-
-    def _entry_dirs(self):
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return []
-        return [os.path.join(self.root, name) for name in names
-                if name.startswith("shard-")]
-
-    def _note_contention(self):
-        self.contention += 1
-        obs.add("cache.shard.contention")
-
-    def get(self, key):
-        try:
-            return super().get(key)
-        except faults.InjectedFault:
-            # A transient shard I/O error is a miss, not an outage:
-            # the caller recomputes and the entry is rewritten.
-            self.misses += 1
-            obs.add("cache.shard.errors")
-            obs.add("cache.misses")
-            self._note_kind(key, "misses")
-            return None
-
-    def _pre_read_faults(self, path):
-        super()._pre_read_faults(path)
-        if faults.armed("cache.shard") and os.path.exists(path):
-            kind = faults.fire("cache.shard")
-            if kind == "corrupt":
-                faults.corrupt_file(path)
-
-    def _discard(self, path):
-        directory = self._quarantine_dir()
-        os.makedirs(directory, exist_ok=True)
-        target = os.path.join(directory, os.path.basename(path))
-        try:
-            os.replace(path, target)
-        except OSError:
-            super()._discard(path)
-            return
-        self.quarantined += 1
-        obs.add("cache.quarantined")
-
-
-def open_store(root=None, shards=None):
-    """Open the configured store backend.
-
-    *shards* ``None`` reads ``REPRO_CACHE_SHARDS`` from the
-    environment; a count above 1 selects :class:`ShardedCacheStore`,
-    anything else the single-directory :class:`CacheStore`.
-    """
-    if shards is None:
-        value = os.environ.get(SHARDS_ENV)
-        if value:
-            try:
-                shards = int(value)
-            except ValueError:
-                shards = None
-    if shards is not None and shards > 1:
-        return ShardedCacheStore(root, shards)
-    return CacheStore(root)
+#: ``perfbench/layers.py`` wraps ``get`` on this name as well as on
+#: ``CacheStore``; the alias keeps that lookup working (the second wrap
+#: passes through and the call is counted once)
+ShardedCacheStore = CacheStore

@@ -46,12 +46,10 @@ keeps ``pdb`` and coverage usable.
 Cache artefact writes are crash-safe (temp file + fsync + atomic
 rename via :mod:`repro.atomicio`) and serialised by per-key advisory
 locks, so concurrent CLI runs sharing one cache directory never
-clobber each other.  The store itself is pluggable — see
-:mod:`repro.evaluation.cache` for the single-directory and sharded
-backends and :func:`~repro.evaluation.cache.open_store`.  The
-deterministic fault-injection sites the chaos suite drives
-(``parallel.task``, ``cache.read``, ``cache.write``,
-``cache.shard``) are described in :mod:`repro.testing.faults`.
+clobber each other; :mod:`repro.evaluation.cache` describes the
+store.  The deterministic fault-injection sites the chaos suite drives
+(``parallel.task``, ``cache.read``, ``cache.write``) are described in
+:mod:`repro.testing.faults`.
 """
 
 import hashlib
@@ -63,8 +61,7 @@ from repro.benchmarks.suite import (
     compile_benchmark, program_fingerprint, run_program_cached)
 from repro.emulator import resolve_backend
 # Re-exported for compatibility: the store grew into its own module.
-from repro.evaluation.cache import (        # noqa: F401
-    CACHE_SCHEMA, CacheStore, ShardedCacheStore, open_store)
+from repro.evaluation.cache import CACHE_SCHEMA, CacheStore  # noqa: F401
 from repro.evaluation.supervisor import (
     EvaluationReport, Supervisor, SupervisorPolicy, kill_pool)
 from repro.observability import tracing as obs
@@ -76,13 +73,11 @@ __all__ = [
     "EvaluationEngine",
     "EvaluationError",
     "EvaluationReport",
-    "ShardedCacheStore",
     "SupervisorPolicy",
     "code_version",
     "config_signature",
     "configure",
     "memoised",
-    "open_store",
     "shared_engine",
 ]
 
@@ -201,7 +196,7 @@ def memoised(kind, components, compute, store=None, use_cache=True):
     ``cache.races``.  A nested call whose key shares the lock file runs
     under the outer hold (:meth:`CacheStore.single_flight`).
     """
-    store = store or open_store()
+    store = store or CacheStore()
     key = store.key(kind, dict(components, code=code_version(kind)))
     payload = store.get(key) if use_cache else None
     if payload is not None:
@@ -375,7 +370,7 @@ class EvaluationEngine:
     def __init__(self, jobs=None, store=None, policy=None):
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
-        self.store = store or open_store()
+        self.store = store or CacheStore()
         self.policy = policy or SupervisorPolicy()
         self.report = EvaluationReport()
         self._pool = None

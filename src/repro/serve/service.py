@@ -44,7 +44,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.emulator.machine import _BACKEND_ENV, resolve_backend
-from repro.evaluation.cache import open_store
+from repro.evaluation.cache import CacheStore
 from repro.evaluation.parallel import EvaluationEngine, memoised
 from repro.evaluation.supervisor import SupervisorPolicy
 from repro.observability.metrics import MetricsRegistry
@@ -62,7 +62,7 @@ _STOP = object()
 class ServiceConfig:
     """Tunable service parameters (every knob has a CLI flag)."""
 
-    def __init__(self, host="127.0.0.1", port=0, jobs=1, shards=None,
+    def __init__(self, host="127.0.0.1", port=0, jobs=1,
                  cache_root=None, queue_limit=64, batch_max=16,
                  default_deadline=120.0, max_deadline=600.0,
                  max_attempts=3, retry_after=1.0,
@@ -73,7 +73,6 @@ class ServiceConfig:
         self.host = host
         self.port = port
         self.jobs = max(1, jobs)
-        self.shards = shards
         self.cache_root = cache_root
         self.queue_limit = max(1, queue_limit)
         self.batch_max = max(1, batch_max)
@@ -163,6 +162,22 @@ class _Pending:
         self.future = future
 
 
+def _hang_up(writer):
+    """Close a client connection so that the client sees end of stream.
+
+    The half-close comes first: pool workers forked while the
+    connection was open hold copies of its descriptor, so ``close()``
+    alone sends no FIN and a client reading to end of stream waits
+    until those workers exit.  ``shutdown`` acts on the socket itself.
+    """
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        writer.close()
+    except Exception:
+        pass
+
+
 @contextlib.contextmanager
 def _backend_override(backend):
     """Temporarily pin ``REPRO_EMULATOR_BACKEND`` (degraded mode)."""
@@ -186,8 +201,7 @@ class EvaluationService:
     def __init__(self, config=None):
         self.config = config or ServiceConfig()
         faults.validate_environment()
-        self.store = open_store(self.config.cache_root,
-                                self.config.shards)
+        self.store = CacheStore(self.config.cache_root)
         self.engine = EvaluationEngine(jobs=self.config.jobs,
                                        store=self.store,
                                        policy=self.config.policy())
@@ -257,10 +271,7 @@ class EvaluationService:
         except asyncio.CancelledError:
             pass
         for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
+            _hang_up(writer)
         self._executor.shutdown(wait=True)
         self.engine.close()
         if self._fallback is not None:
@@ -299,10 +310,7 @@ class EvaluationService:
             pass
         finally:
             self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            _hang_up(writer)
 
     async def _handle(self, request):
         """Route one request; returns ``(status, payload, headers)``."""

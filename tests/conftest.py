@@ -42,10 +42,9 @@ def interpret(source, query="main"):
 
 
 def store_entries(root, kind):
-    """Live artefact-store entries of *kind* under the directory *root*
-    (a ``pathlib.Path``), in any shard layout, quarantine excluded."""
-    return sorted(path for path in root.rglob("cas-%s-*.json" % kind)
-                  if "quarantine" not in path.parts)
+    """Live artefact-store entries of *kind* in the store directory
+    *root* (a ``pathlib.Path``); quarantined ones are not listed."""
+    return sorted(root.glob("cas-%s-*.json" % kind))
 
 
 def normalise_vars(text):

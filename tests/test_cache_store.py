@@ -1,14 +1,16 @@
-"""The pluggable cache store backends.
+"""The content-addressed cache store.
 
-Pins the robustness contract of :mod:`repro.evaluation.cache`: sharded
-placement and per-shard locking, corruption quarantine, the
-re-check-under-lock recovery path (a repaired entry must be served,
-not deleted), size-budgeted LRU eviction, single-flight memoisation
-(one compute per key under concurrency, races counted, no deadlock
-when memoised calls nest), and the bounded put-lock wait that prevents
-cross-slot deadlock.
+Pins the robustness contract of :mod:`repro.evaluation.cache`:
+corruption quarantine, the re-check-under-lock recovery path (a
+repaired entry must be served, not moved aside), the ``cache.read``
+faults, size-budgeted LRU eviction, single-flight memoisation (one
+compute per key under concurrency, races counted, no deadlock when
+memoised calls nest), and the bounded put-lock wait that prevents
+cross-slot deadlock.  Some test names still say "shard": they predate
+the removal of the sharded store and now check the one store.
 """
 
+import hashlib
 import json
 import os
 import threading
@@ -16,8 +18,8 @@ import time
 
 import pytest
 
-from repro.evaluation.cache import (
-    CacheStore, ShardedCacheStore, SHARDS_ENV, open_store)
+from repro.atomicio import atomic_write_json
+from repro.evaluation.cache import CacheStore
 from repro.evaluation import cache as cache_module
 from repro.evaluation.parallel import memoised
 from repro.testing import faults
@@ -28,13 +30,8 @@ def store(tmp_path):
     return CacheStore(str(tmp_path / "cache"))
 
 
-@pytest.fixture
-def sharded(tmp_path):
-    return ShardedCacheStore(str(tmp_path / "cache"), shards=4)
-
-
 # --------------------------------------------------------------------------
-# Round trips and placement.
+# Round trips and layout.
 
 def test_roundtrip_and_miss_counting(store):
     key = store.key("cell", {"a": 1})
@@ -51,63 +48,68 @@ def test_key_is_sensitive_to_kind_and_components(store):
     assert store.key("cell", {"a": 1}) == base
 
 
-def test_sharded_roundtrip_places_entries_in_shard_dirs(sharded):
-    keys = [sharded.key("cell", {"n": n}) for n in range(16)]
-    for n, key in enumerate(keys):
-        sharded.put(key, {"n": n})
-    for n, key in enumerate(keys):
-        assert sharded.get(key) == {"n": n}
-        path = sharded.path(key)
-        shard = os.path.basename(os.path.dirname(path))
-        assert shard == "shard-%02x" % sharded.shard_of(key)
-    # With 16 distinct keys over 4 shards, placement must spread: at
-    # least two shard directories exist (crc32 would have to collide
-    # 16 keys into one bucket otherwise).
-    assert len(sharded._entry_dirs()) >= 2
+def test_sharded_and_plain_store_use_same_keys(store):
+    # An older release could keep this key's entry in a shard-XX/
+    # directory under the same file name.  The store never looks
+    # there: that copy is a miss and no part of usage or gc.
+    key = store.key("cell", {"x": 1})
+    store.put(key, {"value": 1})
+    legacy = os.path.join(store.root, "shard-03", key + ".json")
+    os.makedirs(os.path.dirname(legacy))
+    os.replace(store.path(key), legacy)
+    assert store.get(key) is None
+    assert store.usage()["entries"] == 0
+    assert store.gc(0)["removed"] == 0
+    assert os.path.exists(legacy)
 
 
-def test_sharded_and_plain_store_use_same_keys(tmp_path):
-    plain = CacheStore(str(tmp_path / "a"))
-    shard = ShardedCacheStore(str(tmp_path / "b"), shards=8)
-    assert plain.key("cell", {"x": 1}) == shard.key("cell", {"x": 1})
+def test_put_writes_the_canonical_encoding(store):
+    payload = {"z": [1, 2.5, "t"], "a": {"y": None, "b": True}}
+    key = store.key("cell", {"a": 1})
+    store.put(key, payload)
+    text = open(store.path(key)).read()
+    assert cache_module._canonical(payload) in text
+    assert json.loads(text)["payload"] == payload
 
 
-def test_open_store_honours_environment(tmp_path, monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV, raising=False)
-    assert type(open_store(str(tmp_path))) is CacheStore
-    monkeypatch.setenv(SHARDS_ENV, "8")
-    picked = open_store(str(tmp_path))
-    assert isinstance(picked, ShardedCacheStore)
-    assert picked.shards == 8
-    # Explicit argument beats the environment; nonsense is ignored.
-    assert type(open_store(str(tmp_path), shards=1)) is CacheStore
-    monkeypatch.setenv(SHARDS_ENV, "lots")
-    assert type(open_store(str(tmp_path))) is CacheStore
+def test_entry_written_by_older_put_still_hits(store):
+    # put used to encode the payload twice: canonically for the
+    # checksum, then with atomic_write_json (spaced separators, keys
+    # in insertion order) for the file.  Such an entry is still a hit.
+    payload = {"z": [1, 2.5, "t"], "a": {"y": None, "b": True}}
+    key = store.key("cell", {"a": 1})
+    os.makedirs(store.root)
+    atomic_write_json(store.path(key), {
+        "key": key, "schema": cache_module.CACHE_SCHEMA,
+        "payload": payload, "sha256": hashlib.sha256(
+            cache_module._canonical(payload).encode()).hexdigest()})
+    assert store.get(key) == payload
+    assert store.hits == 1 and store.corrupt == 0
 
 
 # --------------------------------------------------------------------------
-# Corruption: discard vs quarantine, and recovery under the lock.
+# Corruption: quarantine, recovery under the lock, read faults.
 
 def test_corrupt_entry_is_a_miss_then_recomputable(store):
     key = store.key("cell", {"a": 1})
     store.put(key, {"value": 1})
     faults.corrupt_file(store.path(key))
     assert store.get(key) is None
-    assert store.corrupt == 1
+    assert store.corrupt == store.quarantined == 1
     assert not os.path.exists(store.path(key))
     store.put(key, {"value": 2})
     assert store.get(key) == {"value": 2}
 
 
-def test_sharded_corrupt_entry_is_quarantined_not_unlinked(sharded):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 1})
-    faults.corrupt_file(sharded.path(key))
-    assert sharded.get(key) is None
-    assert sharded.quarantined == 1
-    assert not os.path.exists(sharded.path(key))
-    names = os.listdir(os.path.join(sharded.root, "quarantine"))
-    assert names == [os.path.basename(sharded.path(key))]
+def test_sharded_corrupt_entry_is_quarantined_not_unlinked(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 1})
+    faults.corrupt_file(store.path(key))
+    assert store.get(key) is None
+    assert store.quarantined == 1
+    assert not os.path.exists(store.path(key))
+    names = os.listdir(os.path.join(store.root, "quarantine"))
+    assert names == [os.path.basename(store.path(key))]
 
 
 def test_recovery_recheck_serves_entry_repaired_under_lock(
@@ -146,58 +148,59 @@ def test_checksum_mismatch_detected_not_just_bad_json(store):
     assert store.corrupt == 1
 
 
-def test_cache_shard_fault_corrupts_then_heals(sharded, tmp_path):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 7})
-    with faults.injected("cache.shard=corrupt:1"):
-        assert sharded.get(key) is None     # injected damage -> miss
-        sharded.put(key, {"value": 7})      # recompute heals
-        assert sharded.get(key) == {"value": 7}
-    assert sharded.quarantined == 1
+def test_cache_shard_fault_corrupts_then_heals(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 7})
+    with faults.injected("cache.read=corrupt:1"):
+        assert store.get(key) is None     # injected damage -> miss
+        store.put(key, {"value": 7})      # recompute heals
+        assert store.get(key) == {"value": 7}
+    assert store.quarantined == 1
 
 
-def test_cache_shard_error_fault_reads_as_miss(sharded):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 7})
-    with faults.injected("cache.shard=error:1"):
-        assert sharded.get(key) is None     # transient I/O -> miss
-        assert sharded.get(key) == {"value": 7}   # next read is fine
-    assert os.path.exists(sharded.path(key))
+def test_cache_shard_error_fault_reads_as_miss(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 7})
+    with faults.injected("cache.read=error:1"):
+        assert store.get(key) is None     # transient I/O -> miss
+        assert store.get(key) == {"value": 7}   # next read is fine
+    assert os.path.exists(store.path(key))
+    assert store.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
 
 
 # --------------------------------------------------------------------------
 # LRU eviction under a byte budget.
 
-def test_gc_evicts_oldest_entries_down_to_budget(sharded):
-    keys = [sharded.key("cell", {"n": n}) for n in range(6)]
+def test_gc_evicts_oldest_entries_down_to_budget(store):
+    keys = [store.key("cell", {"n": n}) for n in range(6)]
     for n, key in enumerate(keys):
-        sharded.put(key, {"n": n, "pad": "x" * 64})
+        store.put(key, {"n": n, "pad": "x" * 64})
     now = time.time()
     for age, key in enumerate(reversed(keys)):
-        os.utime(sharded.path(key), (now - age * 60, now - age * 60))
+        os.utime(store.path(key), (now - age * 60, now - age * 60))
     # keys[0] is now the oldest, keys[5] the freshest.
-    sizes = {key: os.stat(sharded.path(key)).st_size for key in keys}
+    sizes = {key: os.stat(store.path(key)).st_size for key in keys}
     budget = sum(sizes[key] for key in keys[2:])
-    summary = sharded.gc(budget)
+    summary = store.gc(budget)
     assert summary["removed"] == 2
     assert summary["kept"] == 4
     assert summary["kept_bytes"] <= budget
-    assert sharded.evictions == 2
+    assert store.evictions == 2
     survivors = [key for key in keys
-                 if os.path.exists(sharded.path(key))]
+                 if os.path.exists(store.path(key))]
     assert survivors == keys[2:]
 
 
-def test_gc_purges_quarantine_even_within_budget(sharded):
-    key = sharded.key("cell", {"a": 1})
-    sharded.put(key, {"value": 1})
-    faults.corrupt_file(sharded.path(key))
-    assert sharded.get(key) is None
-    assert sharded.usage()["quarantined_files"] == 1
-    summary = sharded.gc(10 ** 9)
+def test_gc_purges_quarantine_even_within_budget(store):
+    key = store.key("cell", {"a": 1})
+    store.put(key, {"value": 1})
+    faults.corrupt_file(store.path(key))
+    assert store.get(key) is None
+    assert store.usage()["quarantined_files"] == 1
+    summary = store.gc(10 ** 9)
     assert summary["removed"] == 1          # the quarantined file
-    assert sharded.usage()["quarantined_files"] == 0
-    assert sharded.evictions == 0           # purge is not an eviction
+    assert store.usage()["quarantined_files"] == 0
+    assert store.evictions == 0           # purge is not an eviction
 
 
 def test_hit_refreshes_mtime_so_lru_spares_hot_entries(store):
@@ -215,14 +218,14 @@ def test_hit_refreshes_mtime_so_lru_spares_hot_entries(store):
     assert not os.path.exists(store.path(cold))
 
 
-def test_usage_reports_entries_and_bytes(sharded):
-    assert sharded.usage()["entries"] == 0
+def test_usage_reports_entries_and_bytes(store):
+    assert store.usage()["entries"] == 0
     for n in range(3):
-        sharded.put(sharded.key("cell", {"n": n}), {"n": n})
-    usage = sharded.usage()
+        store.put(store.key("cell", {"n": n}), {"n": n})
+    usage = store.usage()
     assert usage["entries"] == 3
     assert usage["bytes"] > 0
-    assert usage["shards"] == 4
+    assert "shards" not in usage
 
 
 # --------------------------------------------------------------------------
@@ -402,21 +405,21 @@ def test_lock_for_returns_same_object_per_slot(store):
     assert store.lock_for(key) is store.lock_for(key)
 
 
-def test_counters_superset_of_stats(sharded):
-    sharded.get(sharded.key("cell", {"a": 1}))
-    counters = sharded.counters()
-    stats = sharded.stats()
+def test_counters_superset_of_stats(store):
+    store.get(store.key("cell", {"a": 1}))
+    counters = store.counters()
+    stats = store.stats()
     assert set(stats) == {"hits", "misses", "corrupt"}
     for name, value in stats.items():
         assert counters[name] == value
     for name in ("quarantined", "evictions", "races", "contention"):
         assert name in counters
-    assert counters["shards"] == 4
+    assert "shards" not in counters
 
 
 # --------------------------------------------------------------------------
-# The or-parallel answer-memo table: entries must survive both
-# backends, corruption must quarantine-and-recompute, and the store's
+# The or-parallel answer-memo table: entries must survive a reopened
+# store, corruption must quarantine-and-recompute, and the store's
 # per-kind counters must reconcile with the trace counters.
 
 ORP_SOURCE = """
@@ -436,26 +439,14 @@ def _memo_engine(store):
 
 
 def _memo_entries(root):
-    """Every persisted cache entry under *root* (both layouts)."""
-    paths = []
-    for dirpath, _, names in os.walk(str(root)):
-        if os.path.basename(dirpath) == "quarantine":
-            continue
-        paths.extend(os.path.join(dirpath, name) for name in names
-                     if name.startswith("cas-")
-                     and name.endswith(".json"))
-    return sorted(paths)
+    """Every persisted cache entry under *root*, quarantine excluded."""
+    return [path for path, _, _ in CacheStore(str(root)).entries()]
 
 
-@pytest.mark.parametrize("backend", ["plain", "sharded"])
-def test_orparallel_memo_roundtrips_through_both_backends(tmp_path,
-                                                          backend):
+def test_orparallel_memo_roundtrips_through_the_store(tmp_path):
     from repro.interp.orparallel import or_solutions
     root = tmp_path / "memo"
-    if backend == "plain":
-        store = CacheStore(str(root))
-    else:
-        store = ShardedCacheStore(str(root), shards=4)
+    store = CacheStore(str(root))
     with _memo_engine(store) as engine:
         cold = or_solutions(ORP_SOURCE, "pair(X, Y)", engine=engine)
         assert cold["mode"] == "parallel"
@@ -463,10 +454,7 @@ def test_orparallel_memo_roundtrips_through_both_backends(tmp_path,
         assert len(_memo_entries(root)) == 1 + cold["branches"]
         # A second store over the same directory (a later process)
         # serves the same bytes without recomputing.
-        if backend == "plain":
-            reopened = CacheStore(str(root))
-        else:
-            reopened = ShardedCacheStore(str(root), shards=4)
+        reopened = CacheStore(str(root))
         warm = or_solutions(ORP_SOURCE, "pair(X, Y)", engine=engine,
                             store=reopened)
         assert warm["mode"] == "memo"
@@ -478,7 +466,7 @@ def test_corrupt_orparallel_memo_is_quarantined_and_recomputed(
         tmp_path):
     from repro.interp.orparallel import or_solutions, sequential_answers
     root = tmp_path / "memo"
-    store = ShardedCacheStore(str(root), shards=4)
+    store = CacheStore(str(root))
     with _memo_engine(store) as engine:
         cold = or_solutions(ORP_SOURCE, "pair(X, Y)", engine=engine)
         for path in _memo_entries(root):

@@ -240,11 +240,12 @@ def test_corrupt_artifact_recompiles(tmp_path, monkeypatch):
 
 
 def test_corrupt_artifact_quarantined_when_sharded(tmp_path, monkeypatch):
+    # (named for the sharded store it once needed; every store
+    # quarantines now)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "4")
     CodegenEmulator(compile_program(LOOP)).run()
     [path] = _entries(tmp_path)
-    assert path.parent.name.startswith("shard-")
+    assert path.parent == tmp_path
     _tamper_bytecode(path)
     with observe.activation(seed=0) as tracer:
         emulator = CodegenEmulator(compile_program(LOOP))
@@ -261,11 +262,11 @@ def test_corrupt_artifact_quarantined_when_sharded(tmp_path, monkeypatch):
 def test_wrong_schema_artifact_ignored(tmp_path, monkeypatch):
     """A checksummed entry of the wrong shape is a miss, not a crash,
     and the recompile overwrites it."""
-    from repro.evaluation.cache import open_store
+    from repro.evaluation.cache import CacheStore
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     CodegenEmulator(compile_program(LOOP)).run()
     [path] = _entries(tmp_path)
-    store = open_store()
+    store = CacheStore()
     store.put(path.stem, {"tier": 2})
     with observe.activation(seed=0) as tracer:
         emulator = CodegenEmulator(compile_program(LOOP))

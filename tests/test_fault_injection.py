@@ -76,8 +76,8 @@ def test_known_sites_text_is_one_line_per_site():
     assert len(lines) == len(faults.SITES)
     assert any(line.strip().startswith("serve.request:")
                for line in lines)
-    assert any(line.strip().startswith("cache.shard:")
-               for line in lines)
+    assert any(line.strip().startswith("cache.read:")
+               and "error" in line for line in lines)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import http.client
 import json
 import os
 import shutil
+import socket
 import tempfile
 import threading
 import time
@@ -48,8 +49,7 @@ def server():
     patcher.setenv("REPRO_CACHE_DIR", os.path.join(tmp, "suite"))
     patcher.delenv(faults.ENV_SPEC, raising=False)
     patcher.delenv(faults.ENV_STATE, raising=False)
-    patcher.delenv("REPRO_CACHE_SHARDS", raising=False)
-    config = ServiceConfig(jobs=1, shards=4, seed=7,
+    config = ServiceConfig(jobs=1, seed=7,
                            cache_root=os.path.join(tmp, "cas"),
                            queue_limit=16, batch_max=4)
     try:
@@ -233,7 +233,8 @@ def test_metrics_endpoint_exposes_counters(server):
     assert status == 200
     assert payload["counters"]["serve.ok"] >= 1
     assert payload["counters"]["serve.cache_hits"] >= 1
-    assert payload["cache"]["shards"] == 4
+    assert payload["cache"]["hits"] >= 1
+    assert "shards" not in payload["cache"]
     assert "supervisor" in payload
 
 
@@ -241,7 +242,7 @@ def test_metrics_endpoint_exposes_counters(server):
 # Load shedding: a full admission queue answers 429 + Retry-After.
 
 def test_queue_full_sheds_with_retry_after(tmp_path):
-    config = ServiceConfig(jobs=1, shards=1, queue_limit=1,
+    config = ServiceConfig(jobs=1, queue_limit=1,
                            batch_max=1, retry_after=0.5,
                            cache_root=str(tmp_path / "cas"))
     statuses = []
@@ -279,8 +280,7 @@ def test_queue_full_sheds_with_retry_after(tmp_path):
 # Graceful drain.
 
 def test_drain_stops_listener_and_joins(tmp_path):
-    config = ServiceConfig(jobs=1, shards=1,
-                           cache_root=str(tmp_path / "cas"))
+    config = ServiceConfig(jobs=1, cache_root=str(tmp_path / "cas"))
     thread = ServiceThread(config)
     with thread:
         port = thread.port
@@ -289,6 +289,53 @@ def test_drain_stops_listener_and_joins(tmp_path):
         assert not thread._thread.is_alive()
     with pytest.raises(OSError):
         request(port, "GET", "/healthz", timeout=5)
+
+
+# --------------------------------------------------------------------------
+# Cold pooled start: the pool is forked while the first request's
+# connection is open, so its workers hold a copy of that socket.  The
+# reply must still end with a FIN, not only when the workers exit.
+
+def _read_reply_then_eof(port, body, eof_timeout):
+    """Send a ``Connection: close`` evaluate request; returns
+    ``(status, seconds from the last body byte to EOF)``, the second
+    None when no EOF arrived within *eof_timeout*."""
+    data = json.dumps(body).encode()
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=180) as client:
+        client.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: x\r\n"
+                       b"Content-Length: %d\r\nConnection: close\r\n"
+                       b"\r\n%s" % (len(data), data))
+        raw = b""
+        while b"\r\n\r\n" not in raw:
+            raw += client.recv(65536)
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        length = int(next(
+            line.split(b":", 1)[1] for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")))
+        while len(rest) < length:
+            rest += client.recv(65536)
+        complete = time.monotonic()
+        client.settimeout(eof_timeout)
+        try:
+            tail = client.recv(65536)
+        except socket.timeout:
+            return int(head.split()[1]), None
+        assert tail == b""
+        return int(head.split()[1]), time.monotonic() - complete
+
+
+def test_cold_pooled_reply_is_followed_by_eof(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "suite"))
+    monkeypatch.delenv(faults.ENV_SPEC, raising=False)
+    monkeypatch.delenv(faults.ENV_STATE, raising=False)
+    config = ServiceConfig(jobs=2, cache_root=str(tmp_path / "cas"))
+    with ServiceThread(config) as thread:
+        status, eof_after = _read_reply_then_eof(
+            thread.port, {"benchmark": BENCH, "configs": ["seq"]},
+            eof_timeout=2.0)
+    assert status == 200
+    assert eof_after is not None, "no EOF within 2 s of the reply"
 
 
 # --------------------------------------------------------------------------
@@ -407,3 +454,24 @@ def test_validate_serve_bench_rejects_wrong_answers():
     problems = validate_serve_bench(document)
     assert any("wrong" in problem for problem in problems)
     assert validate_serve_bench({"schema": 99}) != []
+
+
+def test_validate_serve_bench_rejects_a_hidden_stall():
+    # The document recorded before the cold-start fix: every one of
+    # the 64 first-wave clients timed out and retried, no 429 seen.
+    from repro.serve.loadtest import validate_serve_bench
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "results", "BENCH_serve.json")
+    document = json.load(open(path))
+    document["faults"] = None
+    document["responses"].update(retried=64, sheds_seen=0)
+    problems = validate_serve_bench(document)
+    assert any("retried (64) exceeds sheds_seen (0)" in problem
+               for problem in problems), problems
+    # Retries answering 429s are load shedding, not a stall...
+    document["responses"].update(retried=64, sheds_seen=64)
+    assert validate_serve_bench(document) == []
+    # ...and with faults armed, retries of injected failures are due.
+    document["faults"] = "serve.request=error:3"
+    document["responses"].update(retried=67, sheds_seen=64)
+    assert validate_serve_bench(document) == []

@@ -10,7 +10,7 @@ from repro.benchmarks.suite import (
 from repro.bam import compile_source
 from repro.cli import main
 from repro.evaluation import parallel
-from repro.evaluation.cache import open_store
+from repro.evaluation.cache import CacheStore
 from repro.intcode import translate_module
 from repro.observability import tracing as observe
 from tests.conftest import store_entries
@@ -84,12 +84,13 @@ def test_corrupt_cache_entry_recomputed(tmp_path, monkeypatch):
 
 
 def test_corrupt_entry_quarantined_when_sharded(tmp_path, monkeypatch):
+    # (named for the sharded store it once needed; every store
+    # quarantines now)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "4")
     program = program_for(SOURCE_A)
     first = run_program_cached(program)
     [path] = store_entries(tmp_path, "emulation")
-    assert path.parent.name.startswith("shard-")
+    assert path.parent == tmp_path
     damage(path)
     with observe.activation(seed=0) as tracer:
         again = run_program_cached(program)
@@ -127,7 +128,7 @@ def test_kind_stats_and_gc_cover_both_kinds(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     run_program_cached(program_for(LOOP))
     # the store counts each kind's lookups separately
-    store = open_store()
+    store = CacheStore()
     for kind in ("emulation", "codegen"):
         [path] = store_entries(tmp_path, kind)
         assert store.get(path.stem) is not None
