@@ -10,8 +10,8 @@ results everywhere.
 
 import os
 
-from repro.benchmarks.perf import (
-    bench_document, format_bench, validate_bench, write_bench)
+from repro.benchmarks.document import publish
+from repro.benchmarks.perf import bench_document, format_bench
 from repro.benchmarks.suite import compile_benchmark
 from repro.emulator import CodegenEmulator, Emulator
 
@@ -41,12 +41,10 @@ def test_backend_throughput_codegen(benchmark):
 
 def test_emit_bench_emulator_json(results_dir):
     document = bench_document(repeats=3)
-    problems = validate_bench(document)
+    path = os.path.join(results_dir, "BENCH_emulator.json")
+    problems = publish(document, path)
     assert not problems, problems
     assert document["summary"]["all_identical"]
-    path = write_bench(document,
-                       os.path.join(results_dir, "BENCH_emulator.json"))
-    assert os.path.exists(path)
     speedups = document["summary"]["speedups"]
     save_result("bench_emulator", "\n".join(
         format_bench(entry) for entry in document["benchmarks"])

@@ -4,9 +4,8 @@ schedule, plus the analyzer's own overhead record (BENCH_analyze.json)."""
 import os
 
 from benchmarks.conftest import RESULTS_DIR, save_result
-from repro.analysis.driver import (
-    analyze_bench_document, timed_analyze, validate_analyze_bench,
-    write_analyze_bench)
+from repro.analysis.driver import analyze_bench_document, timed_analyze
+from repro.benchmarks.document import publish
 from repro.experiments import static_ilp
 from repro.experiments.data import table_benchmarks
 
@@ -27,11 +26,9 @@ def test_static_ilp(benchmark):
         entries.append({"target": name, "ops": entry["ops"],
                         "seconds": round(seconds, 4)})
         total += seconds
-    document = analyze_bench_document(entries, total)
-    problems = validate_analyze_bench(document)
+    problems = publish(analyze_bench_document(entries, total),
+                       os.path.join(RESULTS_DIR, "BENCH_analyze.json"))
     assert not problems, problems
-    write_analyze_bench(document,
-                        os.path.join(RESULTS_DIR, "BENCH_analyze.json"))
 
     for entry in data["benchmarks"].values():
         # the bound can never be beaten by a real schedule

@@ -36,11 +36,10 @@ from repro.compaction.machine_model import ideal, sequential
 from repro.observability import tracing as observe
 
 __all__ = [
-    "ANALYZE_BENCH_SCHEMA",
+    "BENCH_FIELDS",
     "analyze_benchmark",
     "analyze_bench_document",
-    "validate_analyze_bench",
-    "write_analyze_bench",
+    "bench_problems",
 ]
 
 #: tail-duplication budget of the trace regions (the evaluation default)
@@ -209,9 +208,6 @@ def analyze_benchmark(name, budget=DEFAULT_BUDGET, use_cache=True):
 # --------------------------------------------------------------------------
 # The BENCH_analyze.json perf record (overhead budget of the analyzer).
 
-ANALYZE_BENCH_SCHEMA = 1
-
-
 def analyze_bench_document(entries, elapsed_seconds):
     """The perf record of one analyze sweep.
 
@@ -220,12 +216,10 @@ def analyze_bench_document(entries, elapsed_seconds):
     (including the memoised scheduling cells, so a warm cache shows up
     as a lower total).
     """
-    from repro.benchmarks.perf import git_revision
+    from repro.benchmarks.document import envelope
     total_ops = sum(entry["ops"] for entry in entries)
     return {
-        "schema": ANALYZE_BENCH_SCHEMA,
-        "kind": "analyze-perf",
-        "revision": git_revision(),
+        **envelope("analyze-perf"),
         "benchmarks": list(entries),
         "summary": {
             "benchmarks": len(entries),
@@ -237,55 +231,24 @@ def analyze_bench_document(entries, elapsed_seconds):
     }
 
 
-def validate_analyze_bench(document):
-    """Schema problems of a BENCH_analyze.json document (empty=valid)."""
-    problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-        return condition
-
-    if not require(isinstance(document, dict),
-                   "document is not an object"):
-        return problems
-    require(document.get("schema") == ANALYZE_BENCH_SCHEMA,
-            "'schema' is not %d" % ANALYZE_BENCH_SCHEMA)
-    require(document.get("kind") == "analyze-perf",
-            "'kind' is not 'analyze-perf'")
-    require(isinstance(document.get("revision"), str),
-            "'revision' is not a string")
-    benchmarks = document.get("benchmarks")
-    if require(isinstance(benchmarks, list) and benchmarks,
-               "'benchmarks' is not a non-empty list"):
-        for index, entry in enumerate(benchmarks):
-            where = "benchmarks[%d]" % index
-            if not require(isinstance(entry, dict),
-                           "%s is not an object" % where):
-                continue
-            require(isinstance(entry.get("target"), str),
-                    "%s: 'target' is not a string" % where)
-            require(isinstance(entry.get("ops"), int)
-                    and entry.get("ops", 0) > 0,
-                    "%s: 'ops' is not a positive int" % where)
-            require(isinstance(entry.get("seconds"), (int, float))
-                    and entry.get("seconds", -1) >= 0,
-                    "%s: 'seconds' is not a non-negative number" % where)
-    summary = document.get("summary")
-    if require(isinstance(summary, dict), "'summary' is not an object"):
-        require(summary.get("benchmarks") == len(benchmarks or []),
-                "'summary.benchmarks' does not count the entries")
-        for key in ("total_ops", "total_seconds", "ops_per_second"):
-            require(isinstance(summary.get(key), (int, float)),
-                    "'summary.%s' is not a number" % key)
-    return problems
+#: the BENCH_analyze.json body (see :mod:`repro.benchmarks.document`)
+BENCH_FIELDS = (
+    ("benchmarks", "non-empty list"),
+    ("benchmarks[].target", "str"),
+    ("benchmarks[].ops", "positive int"),
+    ("benchmarks[].seconds", "non-negative number"),
+    ("summary.benchmarks", "count"),
+    ("summary.total_ops", "number"),
+    ("summary.total_seconds", "number"),
+    ("summary.ops_per_second", "number"),
+)
 
 
-def write_analyze_bench(document, path="BENCH_analyze.json"):
-    """Atomically publish the analyze perf record."""
-    from repro.atomicio import atomic_write_json
-    atomic_write_json(path, document, indent=2, sort_keys=True)
-    return path
+def bench_problems(document):
+    """Cross-field problems of a BENCH_analyze.json whose fields hold."""
+    if document["summary"]["benchmarks"] != len(document["benchmarks"]):
+        return ["summary.benchmarks does not count the entries"]
+    return []
 
 
 def timed_analyze(name, budget=DEFAULT_BUDGET, use_cache=True):

@@ -5,7 +5,7 @@ from repro.benchmarks.programs import (
 from repro.benchmarks.extended import EXTENDED_PROGRAMS
 from repro.benchmarks.suite import (
     compile_benchmark, run_benchmark, run_program_cached,
-    interpret_benchmark, validate_benchmark, program_fingerprint,
+    interpret_benchmark, program_fingerprint,
     cache_dir, suite_catalogue, resolve_program)
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "run_benchmark",
     "run_program_cached",
     "interpret_benchmark",
-    "validate_benchmark",
     "program_fingerprint",
     "cache_dir",
 ]

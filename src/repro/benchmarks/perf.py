@@ -5,9 +5,10 @@ emits ``BENCH_emulator.json``, the repository's perf-trajectory record:
 per-benchmark wall time and ICI throughput for each backend, the
 backend-vs-reference speedups, and enough provenance (git revision,
 Python version, repeat count, producing backend per row) to compare
-runs across commits.  CI validates the document against
-:func:`validate_bench` and archives it; no timing gate is applied —
-the file is a trajectory, not a pass/fail check.
+runs across commits.  CI validates the document
+(:mod:`repro.benchmarks.document`, against :data:`BENCH_FIELDS`) and
+archives it; no timing gate is applied — the file is a trajectory, not
+a pass/fail check.
 
 Every timed run also cross-checks both backends' results field by
 field, so a perf run doubles as a differential test.  Each backend
@@ -24,30 +25,23 @@ under the same drift instead of charging it all to whichever ran
 last.
 """
 
-import platform
-import subprocess
 import sys
 import timeit
 
-from repro.atomicio import atomic_write_json
+from repro.benchmarks.document import envelope
 from repro.benchmarks.programs import TABLE_BENCHMARKS
 from repro.benchmarks.suite import compile_benchmark
 from repro.emulator import (
     BACKENDS, CodegenEmulator, Emulator, resolve_backend)
 
 __all__ = [
-    "BENCH_SCHEMA",
+    "BENCH_FIELDS",
     "QUICK_BENCHMARKS",
     "bench_document",
+    "bench_problems",
     "format_bench",
-    "git_revision",
     "time_backends",
-    "validate_bench",
-    "write_bench",
 ]
-
-#: bump when the BENCH_emulator.json layout changes
-BENCH_SCHEMA = 2
 
 #: the two cheapest suite members — the CI smoke subset
 QUICK_BENCHMARKS = ("conc30", "divide10")
@@ -58,19 +52,6 @@ _RUNNERS = {
 }
 
 _ABBREV = {"reference": "ref", "codegen": "cg"}
-
-
-def git_revision():
-    """The working tree's commit hash, or ``"unknown"`` outside git."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if completed.returncode != 0:
-        return "unknown"
-    return completed.stdout.strip()
 
 
 def _identical(left, right):
@@ -165,9 +146,7 @@ def bench_document(names=None, repeats=3, progress=None, backends=None):
         if progress is not None:
             progress(entry)
     return {
-        "schema": BENCH_SCHEMA,
-        "git_rev": git_revision(),
-        "python": platform.python_version(),
+        **envelope("emulator-perf"),
         "implementation": sys.implementation.name,
         # The active backend selection (REPRO_EMULATOR_BACKEND or the
         # default) the run executed under — which backend the rest of
@@ -193,96 +172,39 @@ def bench_document(names=None, repeats=3, progress=None, backends=None):
     }
 
 
-def validate_bench(document):
-    """Schema problems of a BENCH_emulator.json document (empty = valid).
+#: the BENCH_emulator.json body (see :mod:`repro.benchmarks.document`)
+BENCH_FIELDS = (
+    ("backend", tuple(BACKENDS)),
+    ("backends_timed", "non-empty list"),
+    ("backends_timed[]", tuple(BACKENDS)),
+    ("repeats", "positive int"),
+    ("benchmarks", "non-empty list"),
+    ("benchmarks[].name", "str"),
+    ("benchmarks[].steps", "count"),
+    ("benchmarks[].identical", "true"),
+    ("benchmarks[].backends.*.seconds", "non-negative number"),
+    ("benchmarks[].backends.*.icis_per_sec", "non-negative number"),
+    ("benchmarks[].backends.*.produced_by", tuple(BACKENDS)),
+    ("benchmarks[].speedups.*", "number"),
+    ("summary.benchmarks", "count"),
+    ("summary.speedups.*", "number"),
+    ("summary.total_seconds.*", "non-negative number"),
+)
 
-    Checked by CI after the bench smoke run, and by any future PR that
-    wants to read the perf trajectory programmatically.
-    """
-    problems = []
 
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-
-    require(isinstance(document, dict), "document is not an object")
-    if not isinstance(document, dict):
-        return problems
-    require(document.get("schema") == BENCH_SCHEMA,
-            "schema is not %d" % BENCH_SCHEMA)
-    for field in ("git_rev", "python"):
-        require(isinstance(document.get(field), str),
-                "%s is not a string" % field)
-    require(document.get("backend") in BACKENDS,
-            "backend is not one of %s" % (sorted(BACKENDS),))
-    timed = document.get("backends_timed")
-    require(isinstance(timed, list) and timed
-            and all(backend in BACKENDS for backend in timed),
-            "backends_timed is not a non-empty subset of %s"
-            % (sorted(BACKENDS),))
-    if not isinstance(timed, list):
-        timed = []
-    require(isinstance(document.get("repeats"), int)
-            and document.get("repeats", 0) >= 1,
-            "repeats is not a positive integer")
-    entries = document.get("benchmarks")
-    require(isinstance(entries, list) and entries,
-            "benchmarks is not a non-empty list")
-    for index, entry in enumerate(entries or []):
-        where = "benchmarks[%d]" % index
-        if not isinstance(entry, dict):
-            problems.append("%s is not an object" % where)
-            continue
-        require(isinstance(entry.get("name"), str),
-                "%s.name is not a string" % where)
-        require(isinstance(entry.get("steps"), int)
-                and entry.get("steps", -1) >= 0,
-                "%s.steps is not a non-negative integer" % where)
-        require(entry.get("identical") is True,
-                "%s.identical is not true" % where)
-        backends = entry.get("backends")
-        if not isinstance(backends, dict):
-            problems.append("%s.backends is not an object" % where)
-            continue
-        require(sorted(backends) == sorted(timed),
-                "%s.backends keys != backends_timed" % where)
-        for backend, timing in backends.items():
-            if not isinstance(timing, dict):
-                problems.append("%s.backends.%s is not an object"
-                                % (where, backend))
-                continue
-            for field in ("seconds", "icis_per_sec"):
-                value = timing.get(field)
-                require(isinstance(value, (int, float))
-                        and value >= 0,
-                        "%s.backends.%s.%s is not a non-negative "
-                        "number" % (where, backend, field))
-            require(timing.get("produced_by") in BACKENDS,
-                    "%s.backends.%s.produced_by is not one of %s"
-                    % (where, backend, sorted(BACKENDS)))
-        speedups = entry.get("speedups")
-        require(isinstance(speedups, dict)
-                and all(isinstance(value, (int, float))
-                        for value in (speedups or {}).values()),
-                "%s.speedups is not an object of numbers" % where)
-    summary = document.get("summary")
-    require(isinstance(summary, dict), "summary is not an object")
-    if isinstance(summary, dict):
-        require(summary.get("benchmarks") == len(entries or []),
-                "summary.benchmarks does not match the entry count")
-        require(isinstance(summary.get("speedups"), dict),
-                "summary.speedups is not an object")
-        totals = summary.get("total_seconds")
-        require(isinstance(totals, dict)
-                and sorted(totals or {}) == sorted(timed),
-                "summary.total_seconds keys != backends_timed")
+def bench_problems(document):
+    """Cross-field problems of a BENCH_emulator.json whose fields hold."""
+    timed = sorted(document["backends_timed"])
+    problems = ["benchmarks[%d].backends keys != backends_timed" % index
+                for index, entry in enumerate(document["benchmarks"])
+                if sorted(entry["backends"]) != timed]
+    summary = document["summary"]
+    if summary["benchmarks"] != len(document["benchmarks"]):
+        problems.append("summary.benchmarks does not match the entry "
+                        "count")
+    if sorted(summary["total_seconds"]) != timed:
+        problems.append("summary.total_seconds keys != backends_timed")
     return problems
-
-
-def write_bench(document, path):
-    """Publish *document* as JSON at *path* (atomically: an interrupted
-    bench run never leaves a truncated or invalid record behind)."""
-    return atomic_write_json(path, document, indent=2, sort_keys=True)
 
 
 def format_bench(entry):

@@ -136,13 +136,6 @@ def interpret_benchmark(name):
     return engine.run_query("main"), engine.output_text()
 
 
-def validate_benchmark(name):
-    """Check compiled execution against the reference interpreter."""
-    result = run_benchmark(name)
-    ok, text = interpret_benchmark(name)
-    return (result.succeeded == ok) and (result.output == text)
-
-
 __all__ = [
     "PROGRAMS",
     "TABLE_BENCHMARKS",
@@ -152,7 +145,6 @@ __all__ = [
     "run_benchmark",
     "run_program_cached",
     "interpret_benchmark",
-    "validate_benchmark",
     "program_fingerprint",
     "cache_dir",
 ]

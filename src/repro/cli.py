@@ -185,20 +185,14 @@ def _analyze_suite(args, out, err):
         err.write("analyze: schema problem: %s\n" % problem)
 
     if args.perf:
-        from repro.analysis.driver import (
-            analyze_bench_document, validate_analyze_bench,
-            write_analyze_bench)
+        from repro.analysis.driver import analyze_bench_document
         entries = [{"target": record["target"], "ops": record["ops"],
                     "seconds": round(seconds, 4)}
                    for record, seconds in results]
-        perf = analyze_bench_document(entries, elapsed)
-        for problem in validate_analyze_bench(perf):
-            err.write("analyze: perf schema problem: %s\n" % problem)
-            problems.append(problem)
-        write_analyze_bench(perf, args.perf)
         # Keep stdout pure JSON in --format json; notices go to stderr.
-        notice = err if args.format == "json" else out
-        notice.write("wrote %s\n" % args.perf)
+        problems += _publish("analyze", analyze_bench_document(
+            entries, elapsed), args.perf,
+            err if args.format == "json" else out, err)
 
     if args.output:
         from repro.atomicio import atomic_write_json
@@ -231,8 +225,7 @@ def _analyze_suite(args, out, err):
 def cmd_bench(args, out, err):
     from repro.benchmarks import PROGRAMS, TABLE_BENCHMARKS
     from repro.benchmarks.perf import (
-        QUICK_BENCHMARKS, bench_document, format_bench, validate_bench,
-        write_bench)
+        QUICK_BENCHMARKS, bench_document, format_bench)
     if args.name and args.quick:
         err.write("bench: give benchmark names or --quick, not both\n")
         return 2
@@ -265,18 +258,24 @@ def cmd_bench(args, out, err):
     out.write("total: %s%s over %d benchmark(s)\n"
               % (totals, (" " + speedups if speedups else ""),
                  summary["benchmarks"]))
-    problems = validate_bench(document)
-    if problems:
-        for problem in problems:
-            err.write("bench: schema problem: %s\n" % problem)
-        return 1
-    path = write_bench(document, args.output)
-    out.write("wrote %s\n" % path)
+    problems = _publish("bench", document, args.output, out, err)
     if not summary["all_identical"]:
+        # also a schema problem: 'identical' must be true everywhere
         err.write("bench: backend results differ — see 'identical' "
-                  "fields in %s\n" % path)
-        return 1
-    return 0
+                  "fields in %s\n" % args.output)
+    return 1 if problems else 0
+
+
+def _publish(command, document, path, out, err):
+    """Write bench *document* to *path*, then report and return its
+    problems: an invalid run still leaves its evidence on disk, and
+    the caller exits 1."""
+    from repro.benchmarks.document import publish
+    problems = publish(document, path)
+    out.write("wrote %s\n" % path)
+    for problem in problems:
+        err.write("%s: schema problem: %s\n" % (command, problem))
+    return problems
 
 
 def _resolve_jobs(args):
@@ -522,8 +521,7 @@ def cmd_lint(args, out, err):
 
 def cmd_corpus(args, out, err):
     from repro.evaluation.parallel import EvaluationError, configure
-    from repro.experiments.corpus_sweep import (
-        run_corpus_sweep, validate_corpus_bench, write_corpus_bench)
+    from repro.experiments.corpus_sweep import run_corpus_sweep
 
     if args.quick and args.count is not None:
         err.write("corpus: give --count or --quick, not both\n")
@@ -573,14 +571,10 @@ def cmd_corpus(args, out, err):
                   % "  ".join("%s %.2fx" % (key, curve[key]["mean"])
                               for key in sorted(curve)))
 
-    problems = validate_corpus_bench(document)
-    if problems:
-        for problem in problems:
-            err.write("corpus: schema problem: %s\n" % problem)
-        return 1
-    path = write_corpus_bench(document, args.output)
-    out.write("wrote %s\n" % path)
+    problems = _publish("corpus", document, args.output, out, err)
     _write_supervisor_report(args, engine, out)
+    if problems:
+        return 1
     if summary["oracle_mismatches"]:
         err.write("corpus: differential oracle mismatches: %s\n"
                   % ", ".join(summary["oracle_mismatches"]))
@@ -736,8 +730,7 @@ async def _serve_async(config, out):
 
 def cmd_serve(args, out, err):
     if args.load_test:
-        from repro.serve.loadtest import (
-            run_load_test, validate_serve_bench, write_serve_bench)
+        from repro.serve.loadtest import run_load_test
         document = run_load_test(
             requests=args.load_test, concurrency=args.concurrency,
             jobs=_resolve_jobs(args), url=args.url,
@@ -756,14 +749,8 @@ def cmd_serve(args, out, err):
                      "n/a" if document["warm_hit_rate"] is None
                      else "%.1f%%" % (100 * document["warm_hit_rate"]),
                      document["wrong_answers"]))
-        problems = validate_serve_bench(document)
-        path = write_serve_bench(document, args.output)
-        out.write("wrote %s\n" % path)
-        if problems:
-            for problem in problems:
-                err.write("serve: schema problem: %s\n" % problem)
-            return 1
-        return 0
+        return 1 if _publish("serve", document, args.output, out,
+                             err) else 0
     import asyncio
     asyncio.run(_serve_async(_serve_config(args), out))
     return 0
@@ -843,9 +830,7 @@ def cmd_query(args, out, err):
 
 def _query_sweep(args, out, err):
     from repro.evaluation.parallel import EvaluationError
-    from repro.experiments.orparallel_bench import (
-        run_orparallel_bench, validate_orparallel_bench,
-        write_orparallel_bench)
+    from repro.experiments.orparallel_bench import run_orparallel_bench
     try:
         document = run_orparallel_bench(
             quick=args.quick, policy=_supervisor_policy(args),
@@ -876,14 +861,9 @@ def _query_sweep(args, out, err):
                   % (entry["name"], entry["ilp_speedup"],
                      entry["or_speedup"], entry["stacked_speedup"]))
 
-    problems = validate_orparallel_bench(document)
-    if problems:
-        for problem in problems:
-            err.write("query: schema problem: %s\n" % problem)
+    if _publish("query", document,
+                args.output or "results/BENCH_orparallel.json", out, err):
         return 1
-    path = write_orparallel_bench(
-        document, args.output or "results/BENCH_orparallel.json")
-    out.write("wrote %s\n" % path)
     if differential["mismatches"]:
         err.write("query: differential mismatches: %s\n"
                   % ", ".join(differential["mismatches"]))

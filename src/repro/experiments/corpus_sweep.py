@@ -32,19 +32,16 @@ from repro.analysis.branch_stats import (
 from repro.intcode.ici import OP_CLASS
 
 __all__ = [
-    "CORPUS_BENCH_SCHEMA",
+    "BENCH_FIELDS",
     "CORPUS_CONFIG_KEYS",
     "PREDICTABLE_P_FP",
     "SATURATION_WIDTHS",
+    "bench_problems",
     "build_corpus_specs",
     "corpus_document",
     "run_corpus_sweep",
     "sweep_target",
-    "validate_corpus_bench",
-    "write_corpus_bench",
 ]
-
-CORPUS_BENCH_SCHEMA = 1
 
 #: the master-config slice every corpus program is verified under —
 #: the sequential reference, a realistic 3-unit VLIW and the paper's
@@ -301,7 +298,7 @@ def _claim_report(records):
 
 def corpus_document(records, elapsed_seconds, count, base_seed):
     """The ``BENCH_corpus.json`` document for one sweep."""
-    from repro.benchmarks.perf import git_revision
+    from repro.benchmarks.document import envelope
 
     mismatches = [r["name"] for r in records if not r["oracle"]["match"]]
     findings = [r["name"] for r in records if r["verify_findings"]]
@@ -317,9 +314,7 @@ def corpus_document(records, elapsed_seconds, count, base_seed):
         for width in SATURATION_WIDTHS
     } if with_curve else None
     document = {
-        "schema": CORPUS_BENCH_SCHEMA,
-        "kind": "corpus-sweep",
-        "revision": git_revision(),
+        **envelope("corpus-sweep"),
         "parameters": {
             "count": count,
             "base_seed": base_seed,
@@ -347,117 +342,58 @@ def corpus_document(records, elapsed_seconds, count, base_seed):
     return document
 
 
-def validate_corpus_bench(document):
-    """Schema problems of a BENCH_corpus.json document (empty=valid)."""
-    problems = []
+#: the BENCH_corpus.json body (see :mod:`repro.benchmarks.document`)
+BENCH_FIELDS = (
+    ("parameters.count", "count"),
+    ("parameters.base_seed", "int"),
+    ("programs", "non-empty list"),
+    ("programs[].name", "str"),
+    ("programs[].kind", ("generated", "dcg")),
+    ("programs[].oracle.match", "bool"),
+    ("programs[].verify_findings", "count"),
+    ("programs[].branch.avg_p_fp", "number"),
+    ("programs[].ilp.gap", "number"),
+    ("programs[].mix.*", "number"),
+    ("summary.programs", "count"),
+    ("summary.oracle_mismatches", "list"),
+    ("summary.verify_finding_programs", "list"),
+    ("summary.claim.predictable_fraction", "number"),
+    ("summary.claim.p_fp_histogram", "object"),
+    ("summary.ilp.achieved_speedup", "object"),
+    ("summary.ilp.dataflow_limit_speedup", "object"),
+    ("summary.ilp.gap", "object"),
+)
 
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-        return condition
 
-    if not require(isinstance(document, dict),
-                   "document is not an object"):
-        return problems
-    require(document.get("schema") == CORPUS_BENCH_SCHEMA,
-            "'schema' is not %d" % CORPUS_BENCH_SCHEMA)
-    require(document.get("kind") == "corpus-sweep",
-            "'kind' is not 'corpus-sweep'")
-    require(isinstance(document.get("revision"), str),
-            "'revision' is not a string")
-    parameters = document.get("parameters")
-    if require(isinstance(parameters, dict),
-               "'parameters' is not an object"):
-        require(isinstance(parameters.get("count"), int),
-                "'parameters.count' is not an int")
-        require(isinstance(parameters.get("base_seed"), int),
-                "'parameters.base_seed' is not an int")
-    programs = document.get("programs")
-    if require(isinstance(programs, list) and programs,
-               "'programs' is not a non-empty list"):
-        for index, record in enumerate(programs):
-            where = "programs[%d]" % index
-            if not require(isinstance(record, dict),
-                           "%s is not an object" % where):
-                continue
-            require(isinstance(record.get("name"), str),
-                    "%s: 'name' is not a string" % where)
-            require(record.get("kind") in ("generated", "dcg"),
-                    "%s: 'kind' is not generated/dcg" % where)
-            oracle = record.get("oracle")
-            require(isinstance(oracle, dict)
-                    and isinstance(oracle.get("match"), bool),
-                    "%s: 'oracle.match' is not a bool" % where)
-            require(isinstance(record.get("verify_findings"), int),
-                    "%s: 'verify_findings' is not an int" % where)
-            branch = record.get("branch")
-            require(isinstance(branch, dict)
-                    and isinstance(branch.get("avg_p_fp"),
-                                   (int, float)),
-                    "%s: 'branch.avg_p_fp' is not a number" % where)
-            ilp = record.get("ilp")
-            require(isinstance(ilp, dict)
-                    and isinstance(ilp.get("gap"), (int, float)),
-                    "%s: 'ilp.gap' is not a number" % where)
-            if "saturation" in record:
-                curve = record["saturation"]
-                require(isinstance(curve, dict)
-                        and sorted(curve) == sorted(
-                            "vliw%d" % w for w in SATURATION_WIDTHS)
-                        and all(isinstance(v, (int, float))
-                                for v in curve.values()),
-                        "%s: 'saturation' is not a full vliw1..vliw%d "
-                        "number curve" % (where, SATURATION_WIDTHS[-1]))
-            mix = record.get("mix")
-            if require(isinstance(mix, dict),
-                       "%s: 'mix' is not an object" % where):
-                require(abs(sum(mix.values()) - 1.0) < 1e-6,
-                        "%s: 'mix' does not sum to 1" % where)
-    summary = document.get("summary")
-    if require(isinstance(summary, dict), "'summary' is not an object"):
-        require(summary.get("programs") == len(programs or []),
-                "'summary.programs' does not count the records")
-        require(isinstance(summary.get("oracle_mismatches"), list),
-                "'summary.oracle_mismatches' is not a list")
-        require(isinstance(summary.get("verify_finding_programs"), list),
-                "'summary.verify_finding_programs' is not a list")
-        claim = summary.get("claim")
-        if require(isinstance(claim, dict),
-                   "'summary.claim' is not an object"):
-            require(isinstance(claim.get("predictable_fraction"),
-                               (int, float)),
-                    "'claim.predictable_fraction' is not a number")
-            require(isinstance(claim.get("p_fp_histogram"), dict),
-                    "'claim.p_fp_histogram' is not an object")
-        ilp = summary.get("ilp")
-        if require(isinstance(ilp, dict),
-                   "'summary.ilp' is not an object"):
-            for key in ("achieved_speedup", "dataflow_limit_speedup",
-                        "gap"):
-                require(isinstance(ilp.get(key), dict),
-                        "'summary.ilp.%s' is not an object" % key)
-        if "saturation" in summary:
-            curve = summary["saturation"]
-            require(isinstance(curve, dict)
-                    and sorted(curve) == sorted(
-                        "vliw%d" % w for w in SATURATION_WIDTHS)
-                    and all(isinstance(v, dict)
-                            for v in (curve or {}).values()),
-                    "'summary.saturation' is not a full vliw1..vliw%d "
-                    "quantile curve" % SATURATION_WIDTHS[-1])
+def bench_problems(document):
+    """Cross-field problems of a BENCH_corpus.json whose fields hold:
+    each mix sums to 1, the summary counts the records, and every
+    saturation curve present is complete."""
+    programs, summary = document["programs"], document["summary"]
+    problems = ["programs[%d].mix does not sum to 1" % index
+                for index, record in enumerate(programs)
+                if abs(sum(record["mix"].values()) - 1.0) >= 1e-6]
+    if summary["programs"] != len(programs):
+        problems.append("summary.programs does not count the records")
+    widths = sorted("vliw%d" % width for width in SATURATION_WIDTHS)
+
+    def number(value):
+        return isinstance(value, (int, float)) \
+            and not isinstance(value, bool)
+
+    curves = [("programs[%d].saturation" % index, record["saturation"],
+               number)
+              for index, record in enumerate(programs)
+              if "saturation" in record]
+    if "saturation" in summary:
+        curves.append(("summary.saturation", summary["saturation"],
+                       lambda value: isinstance(value, dict)))
+    problems += ["%s is not a full vliw1..vliw%d curve"
+                 % (where, SATURATION_WIDTHS[-1])
+                 for where, curve, point in curves
+                 if not (isinstance(curve, dict) and sorted(curve) == widths
+                         and all(point(value) for value in curve.values()))]
     return problems
-
-
-def write_corpus_bench(document, path="results/BENCH_corpus.json"):
-    """Atomically publish the corpus sweep record."""
-    import os
-
-    from repro.atomicio import atomic_write_json
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write_json(path, document, indent=2, sort_keys=True)
-    return path
 
 
 def run_corpus_sweep(count, base_seed, engine=None,

@@ -10,22 +10,20 @@ every 200 response is **byte-identical** to its reference under
 canonical JSON encoding.  Shedding (429) is retried by the client
 honouring ``Retry-After``; a wrong answer is terminal.
 
-The resulting schema-1 document records p50/p99 latency, warm-cache
-hit rate, and shed/retried/degraded counts; CI uploads it as the
-``BENCH_serve`` artifact and ``results/BENCH_serve.json`` pins the
-committed run.
+The resulting bench document (:mod:`repro.benchmarks.document`)
+records p50/p99 latency, warm-cache hit rate, and shed/retried/degraded
+counts; CI uploads it as the ``BENCH_serve`` artifact and
+``results/BENCH_serve.json`` pins the committed run.
 """
 
 import asyncio
 import json
 import os
-import platform
 import tempfile
 import time
 import urllib.parse
 
-from repro.atomicio import atomic_write_json
-from repro.benchmarks.perf import git_revision
+from repro.benchmarks.document import envelope
 from repro.evaluation.cache import CacheStore
 from repro.evaluation.parallel import EvaluationEngine
 from repro.serve.ops import canonical_json, compute_result, parse_request
@@ -33,14 +31,11 @@ from repro.serve.service import ServiceConfig, ServiceThread
 from repro.testing import faults
 
 __all__ = [
-    "SERVE_BENCH_SCHEMA",
+    "BENCH_FIELDS",
+    "bench_problems",
     "mixed_templates",
     "run_load_test",
-    "validate_serve_bench",
-    "write_serve_bench",
 ]
-
-SERVE_BENCH_SCHEMA = 1
 
 DEFAULT_BENCHMARKS = ("conc30", "divide10")
 DEFAULT_CONFIGS = ("seq", "vliw3")
@@ -188,7 +183,7 @@ def _percentile(values, fraction):
 
 
 # --------------------------------------------------------------------------
-# Document assembly, validation, publication.
+# Document assembly and validation.
 
 def _assemble(records, references, templates, server_metrics, extras):
     ok_records = [r for r in records if r["status"] == 200]
@@ -230,9 +225,7 @@ def _assemble(records, references, templates, server_metrics, extras):
             warm_hit_rate = cache.get("hits", 0) / lookups
         server_counters = server_metrics.get("counters", {})
     document = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "git_revision": git_revision(),
-        "python": platform.python_version(),
+        **envelope("serve-loadtest"),
         "requests": len(records),
         "unique_requests": len(templates),
         "faults": os.environ.get(faults.ENV_SPEC),
@@ -265,84 +258,49 @@ def _assemble(records, references, templates, server_metrics, extras):
     return document
 
 
-def validate_serve_bench(document):
-    """Schema problems of a BENCH_serve.json document (empty = valid)."""
+#: the BENCH_serve.json body (see :mod:`repro.benchmarks.document`)
+BENCH_FIELDS = (
+    ("requests", "count"),
+    ("unique_requests", "count"),
+    ("concurrency", "count"),
+    ("wrong_answers", "count"),
+    ("benchmarks[]", "str"),
+    ("latency_ms.p50", "non-negative number"),
+    ("latency_ms.p99", "non-negative number"),
+    ("latency_ms.mean", "non-negative number"),
+    ("latency_ms.max", "non-negative number"),
+    # a run with no successful request measured nothing
+    ("outcomes.ok", "positive int"),
+    ("outcomes.shed", "count"),
+    ("outcomes.failed", "count"),
+    ("outcomes.deadline", "count"),
+    ("responses.degraded", "count"),
+    ("responses.cached", "count"),
+    ("responses.retried", "count"),
+    ("responses.sheds_seen", "count"),
+    ("warm_hit_rate", "rate"),
+    ("seconds", "non-negative number"),
+)
+
+
+def bench_problems(document):
+    """Cross-field problems of a BENCH_serve.json whose fields hold."""
     problems = []
-
-    def require(condition, message):
-        if not condition:
-            problems.append(message)
-
-    require(isinstance(document, dict), "document is not an object")
-    if not isinstance(document, dict):
-        return problems
-    require(document.get("schema") == SERVE_BENCH_SCHEMA,
-            "schema != %d" % SERVE_BENCH_SCHEMA)
-    for field in ("git_revision", "python"):
-        require(isinstance(document.get(field), str),
-                "%s missing or not a string" % field)
-    for field in ("requests", "unique_requests", "concurrency",
-                  "wrong_answers"):
-        value = document.get(field)
-        require(isinstance(value, int) and not isinstance(value, bool)
-                and value >= 0,
-                "%s missing or not a non-negative int" % field)
-    latency = document.get("latency_ms")
-    require(isinstance(latency, dict), "latency_ms missing")
-    if isinstance(latency, dict):
-        for field in ("p50", "p99", "mean", "max"):
-            value = latency.get(field)
-            require(isinstance(value, (int, float))
-                    and not isinstance(value, bool) and value >= 0,
-                    "latency_ms.%s missing or negative" % field)
-        if all(isinstance(latency.get(k), (int, float))
-               for k in ("p50", "p99")):
-            require(latency["p50"] <= latency["p99"],
-                    "latency p50 exceeds p99")
-    outcomes = document.get("outcomes")
-    require(isinstance(outcomes, dict), "outcomes missing")
-    if isinstance(outcomes, dict):
-        for field in ("ok", "shed", "failed", "deadline"):
-            value = outcomes.get(field)
-            require(isinstance(value, int)
-                    and not isinstance(value, bool) and value >= 0,
-                    "outcomes.%s missing or not an int" % field)
-        require(outcomes.get("ok", 0) >= 1, "no successful requests")
-    responses = document.get("responses")
-    require(isinstance(responses, dict), "responses missing")
-    if isinstance(responses, dict):
-        for field in ("degraded", "cached", "retried", "sheds_seen"):
-            value = responses.get(field)
-            require(isinstance(value, int)
-                    and not isinstance(value, bool) and value >= 0,
-                    "responses.%s missing or not an int" % field)
-        if document.get("faults") is None:
-            # without faults every client retry but a 429's is a
-            # timeout or a 500: a stall, not a tail
-            retried = responses.get("retried")
-            sheds = responses.get("sheds_seen")
-            if isinstance(retried, int) and isinstance(sheds, int):
-                require(retried <= sheds,
-                        "responses.retried (%d) exceeds sheds_seen (%d) "
+    latency, responses = document["latency_ms"], document["responses"]
+    if latency["p50"] > latency["p99"]:
+        problems.append("latency_ms.p50 exceeds p99")
+    retried, sheds = responses["retried"], responses["sheds_seen"]
+    if document.get("faults") is None and retried > sheds:
+        # without faults every client retry but a 429's is a timeout
+        # or a 500: a stall, not a tail
+        problems.append("responses.retried (%d) exceeds sheds_seen (%d) "
                         "on a fault-free run: %d request(s) timed out "
                         "or failed" % (retried, sheds, retried - sheds))
-    rate = document.get("warm_hit_rate")
-    require(rate is None or (isinstance(rate, (int, float))
-                             and 0.0 <= rate <= 1.0),
-            "warm_hit_rate out of [0, 1]")
-    require(document.get("wrong_answers") == 0,
-            "wrong_answers != 0 — service returned a payload that "
-            "differs from the single-shot reference")
-    seconds = document.get("seconds")
-    require(isinstance(seconds, (int, float))
-            and not isinstance(seconds, bool) and seconds >= 0,
-            "seconds missing or negative")
+    if document["wrong_answers"]:
+        problems.append("wrong_answers is %d, not 0 — the service "
+                        "returned a payload that differs from the "
+                        "single-shot reference" % document["wrong_answers"])
     return problems
-
-
-def write_serve_bench(document, path):
-    """Publish *document* atomically (never a torn record)."""
-    return atomic_write_json(path, document, indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------------

@@ -111,14 +111,15 @@ def test_bench_unknown_name(tmp_path):
 
 def test_bench_quick_writes_schema_valid_record(tmp_path):
     import json
-    from repro.benchmarks.perf import QUICK_BENCHMARKS, validate_bench
+    from repro.benchmarks.document import validate
+    from repro.benchmarks.perf import QUICK_BENCHMARKS
     output = str(tmp_path / "BENCH_emulator.json")
     status, text, errors = run_cli(
         ["bench", "--quick", "--repeat", "1", "--output", output])
     assert status == 0, errors
     with open(output) as handle:
         document = json.load(handle)
-    assert validate_bench(document) == []
+    assert validate(document) == []
     assert [entry["name"] for entry in document["benchmarks"]] \
         == list(QUICK_BENCHMARKS)
     assert sorted(document["benchmarks"][0]["backends"]) \
@@ -128,7 +129,7 @@ def test_bench_quick_writes_schema_valid_record(tmp_path):
 
 def test_bench_backend_subset(tmp_path):
     import json
-    from repro.benchmarks.perf import validate_bench
+    from repro.benchmarks.document import validate
     output = str(tmp_path / "BENCH_emulator.json")
     status, text, errors = run_cli(
         ["bench", "conc30", "--repeat", "1",
@@ -137,7 +138,7 @@ def test_bench_backend_subset(tmp_path):
     assert status == 0, errors
     with open(output) as handle:
         document = json.load(handle)
-    assert validate_bench(document) == []
+    assert validate(document) == []
     assert document["backends_timed"] == ["codegen", "reference"]
     entry = document["benchmarks"][0]
     assert sorted(entry["backends"]) == ["codegen", "reference"]
@@ -260,8 +261,8 @@ def test_bench_quick_records_env_backend(tmp_path, monkeypatch, backend):
     with open(output) as handle:
         document = json.load(handle)
     assert document["backend"] == backend
-    from repro.benchmarks.perf import validate_bench
-    assert validate_bench(document) == []
+    from repro.benchmarks.document import validate
+    assert validate(document) == []
 
 
 def test_evaluate_profile_backend_follows_env_override(

@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.evaluation.parallel import EvaluationEngine
+from repro.benchmarks.document import SCHEMA, publish, validate
 from repro.experiments.corpus_sweep import (
-    CORPUS_BENCH_SCHEMA, CORPUS_CONFIG_KEYS, SATURATION_WIDTHS,
-    build_corpus_specs, run_corpus_sweep, sweep_target,
-    validate_corpus_bench, write_corpus_bench)
+    CORPUS_CONFIG_KEYS, SATURATION_WIDTHS, build_corpus_specs,
+    run_corpus_sweep, sweep_target)
 
 
 def test_build_corpus_specs():
@@ -82,7 +82,7 @@ def test_small_sweep_is_clean(small_document):
 
 
 def test_document_validates(small_document):
-    assert validate_corpus_bench(small_document) == []
+    assert validate(small_document) == []
 
 
 def test_document_claim_report(small_document):
@@ -102,29 +102,31 @@ def test_document_parameters(small_document):
     assert parameters["count"] == 3
     assert parameters["base_seed"] == 1992
     assert parameters["machine_configs"] == list(CORPUS_CONFIG_KEYS)
-    assert small_document["schema"] == CORPUS_BENCH_SCHEMA
+    assert small_document["schema"] == SCHEMA
+    assert small_document["kind"] == "corpus-sweep"
 
 
 def test_validator_catches_tampering(small_document):
     broken = json.loads(json.dumps(small_document))
     broken["summary"]["programs"] = 99
-    assert validate_corpus_bench(broken)
+    assert "summary.programs does not count the records" \
+        in validate(broken)
     broken = json.loads(json.dumps(small_document))
     broken["programs"][0]["mix"]["mem"] += 0.5
-    assert validate_corpus_bench(broken)
+    assert "programs[0].mix does not sum to 1" in validate(broken)
     broken = json.loads(json.dumps(small_document))
     del broken["summary"]["claim"]
-    assert validate_corpus_bench(broken)
-    assert validate_corpus_bench({"schema": 0})
-    assert validate_corpus_bench([])
+    assert validate(broken)
+    assert validate({"schema": 0})
+    assert validate([])
 
 
-def test_write_corpus_bench_round_trips(small_document, tmp_path):
-    path = write_corpus_bench(small_document,
-                              str(tmp_path / "sub" / "BENCH.json"))
+def test_publish_corpus_document_round_trips(small_document, tmp_path):
+    path = str(tmp_path / "sub" / "BENCH.json")
+    assert publish(small_document, path) == []
     with open(path) as handle:
         loaded = json.load(handle)
-    assert validate_corpus_bench(loaded) == []
+    assert validate(loaded) == []
     assert loaded["summary"] == json.loads(
         json.dumps(small_document["summary"]))
 
@@ -154,7 +156,7 @@ def test_corpus_cli_quick(tmp_path):
     assert "static ILP gap" in text
     with open(output) as handle:
         document = json.load(handle)
-    assert validate_corpus_bench(document) == []
+    assert validate(document) == []
     assert document["summary"]["programs"] == 5
 
 
@@ -166,7 +168,7 @@ def test_corpus_sweep_saturation_summary():
                                     saturation=True)
     finally:
         engine.close()
-    assert validate_corpus_bench(document) == []
+    assert validate(document) == []
     curve = document["summary"]["saturation"]
     assert sorted(curve) == sorted("vliw%d" % w
                                    for w in SATURATION_WIDTHS)
@@ -175,10 +177,10 @@ def test_corpus_sweep_saturation_summary():
     # tampering with the curve is caught
     broken = json.loads(json.dumps(document))
     del broken["summary"]["saturation"]["vliw3"]
-    assert validate_corpus_bench(broken)
+    assert validate(broken)
     broken = json.loads(json.dumps(document))
     broken["programs"][0]["saturation"]["vliw2"] = "fast"
-    assert validate_corpus_bench(broken)
+    assert validate(broken)
 
 
 def test_corpus_cli_saturation_output(tmp_path):
@@ -192,7 +194,7 @@ def test_corpus_cli_saturation_output(tmp_path):
     assert "saturation (mean speedup): vliw1" in out.getvalue()
     with open(output) as handle:
         document = json.load(handle)
-    assert validate_corpus_bench(document) == []
+    assert validate(document) == []
     assert "saturation" in document["summary"]
 
 

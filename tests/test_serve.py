@@ -435,43 +435,43 @@ def test_percentiles_pick_rank_from_sorted_values():
 
 
 def test_published_serve_bench_document_validates():
-    from repro.serve.loadtest import validate_serve_bench
+    from repro.benchmarks.document import validate
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "results", "BENCH_serve.json")
     document = json.load(open(path))
-    assert validate_serve_bench(document) == []
+    assert validate(document) == []
     assert document["wrong_answers"] == 0
     assert document["requests"] >= 2000
     assert document["warm_hit_rate"] >= 0.9
 
 
-def test_validate_serve_bench_rejects_wrong_answers():
-    from repro.serve.loadtest import validate_serve_bench
+def test_serve_document_rejects_wrong_answers():
+    from repro.benchmarks.document import validate
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "results", "BENCH_serve.json")
     document = json.load(open(path))
     document["wrong_answers"] = 1
-    problems = validate_serve_bench(document)
+    problems = validate(document)
     assert any("wrong" in problem for problem in problems)
-    assert validate_serve_bench({"schema": 99}) != []
+    assert validate({"schema": 99}) != []
 
 
-def test_validate_serve_bench_rejects_a_hidden_stall():
+def test_serve_document_rejects_a_hidden_stall():
     # The document recorded before the cold-start fix: every one of
     # the 64 first-wave clients timed out and retried, no 429 seen.
-    from repro.serve.loadtest import validate_serve_bench
+    from repro.benchmarks.document import validate
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "results", "BENCH_serve.json")
     document = json.load(open(path))
     document["faults"] = None
     document["responses"].update(retried=64, sheds_seen=0)
-    problems = validate_serve_bench(document)
+    problems = validate(document)
     assert any("retried (64) exceeds sheds_seen (0)" in problem
                for problem in problems), problems
     # Retries answering 429s are load shedding, not a stall...
     document["responses"].update(retried=64, sheds_seen=64)
-    assert validate_serve_bench(document) == []
+    assert validate(document) == []
     # ...and with faults armed, retries of injected failures are due.
     document["faults"] = "serve.request=error:3"
     document["responses"].update(retried=67, sheds_seen=64)
-    assert validate_serve_bench(document) == []
+    assert validate(document) == []

@@ -28,8 +28,8 @@ import pytest
 from repro.evaluation.cache import CacheStore
 from repro.evaluation.parallel import EvaluationEngine
 from repro.serve import ServiceConfig, ServiceThread
-from repro.serve.loadtest import (
-    run_load_test, validate_serve_bench, write_serve_bench)
+from repro.benchmarks.document import publish, validate
+from repro.serve.loadtest import run_load_test
 from repro.serve.ops import (
     canonical_json, compute_result, parse_request)
 from repro.testing import faults
@@ -64,7 +64,7 @@ def clean_faults(monkeypatch):
 def test_load_test_2000_requests_byte_identical(clean_faults,
                                                 tmp_path):
     document = run_load_test(requests=2000, concurrency=64, jobs=2)
-    problems = validate_serve_bench(document)
+    problems = validate(document)
     assert problems == [], problems
     assert document["wrong_answers"] == 0, document["wrong_detail"]
     assert document["requests"] == 2000
@@ -73,8 +73,8 @@ def test_load_test_2000_requests_byte_identical(clean_faults,
     assert document["outcomes"]["unreachable"] == 0
     assert document["warm_hit_rate"] >= 0.9
     path = str(tmp_path / "BENCH_serve.json")
-    write_serve_bench(document, path)
-    assert validate_serve_bench(json.load(open(path))) == []
+    assert publish(document, path) == []
+    assert validate(json.load(open(path))) == []
 
 
 def test_load_test_under_faults_stays_correct(clean_faults,
@@ -85,7 +85,7 @@ def test_load_test_under_faults_stays_correct(clean_faults,
         "cache.read=corrupt:2,cache.read=error:1")
     monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "fuses"))
     document = run_load_test(requests=200, concurrency=32, jobs=2)
-    problems = validate_serve_bench(document)
+    problems = validate(document)
     assert problems == [], problems
     assert document["wrong_answers"] == 0, document["wrong_detail"]
     assert document["faults"] == os.environ[faults.ENV_SPEC]
